@@ -1,8 +1,8 @@
 """Replay-engine throughput: events/second through the layered engine.
 
-The screened batch kernel (``CacheSystem._replay_kernel``: generational
-fixpoint screening + grouped residual batching + a residual loop with
-local counters) replaced the per-event cache stage. This bench measures
+The compiled cache kernel (``CacheSystem._replay_compiled``: one C
+call per batch over flat array state, ``src/repro/memsim/ckernel.c``)
+replaced the per-event cache stage. This bench measures
 replay throughput on the paper's headline workload (PageRank on the lj
 stand-in) for the baseline and OMEGA backends and compares against two
 references:
@@ -26,14 +26,11 @@ speedup that does not move with machine load:
 
     normalized = (after / oracle_now) * (anchor_oracle / seed)
 
-The acceptance bar is >=5x normalized on OMEGA and >=2.5x normalized
-on the baseline. The bars differ because they measure different
-things: the baseline's residual is essentially its true L1-miss set
-(~42% of cache events on this workload must walk the stateful
-L2/DRAM/coherence path one at a time), so a 5x end-to-end win is
-structurally out of reach there — see docs/performance.md for the
-arithmetic — while OMEGA's scratchpad routing shrinks the cache-routed
-set enough for the screened kernel to clear 5x.
+The acceptance bar is >=20x normalized on both backends: the lowest
+of several runs measured ~30x on each, and the bar leaves a third of
+that as headroom for the oracle's run-to-run noise (the normalization
+divides by it). Earlier Python kernels cleared 3.5x (baseline) and
+5.6x (OMEGA); docs/performance.md keeps the arithmetic.
 """
 
 import time
@@ -63,9 +60,8 @@ SEED_EVENTS_PER_SEC = {"baseline": 234_000, "omega": 319_748}
 #: SEED_EVENTS_PER_SEC.
 ANCHOR_ORACLE_EVENTS_PER_SEC = {"baseline": 457_030, "omega": 904_463}
 
-#: Normalized-speedup acceptance bars (see module docstring for why
-#: they differ).
-SPEEDUP_BARS = {"baseline": 2.5, "omega": 5.0}
+#: Normalized-speedup acceptance bars (see the module docstring).
+SPEEDUP_BARS = {"baseline": 20.0, "omega": 20.0}
 
 ROUNDS = 3
 
@@ -171,7 +167,7 @@ def test_replay_throughput(benchmark):
     )
     text += (
         "\nseed = pre-refactor per-event loop (ledger floor; constants"
-        " recorded at seed commit 296ad4d); after = screened batch"
+        " recorded at seed commit 296ad4d); after = compiled cache"
         " kernel;\noracle = the REPRO_SCALAR_CACHE=1 reference path"
         " measured in the same run;\nspeedup norm = (after/oracle) *"
         " (anchor oracle/seed) — host-load-invariant (the gated"
@@ -207,9 +203,6 @@ def test_replay_throughput(benchmark):
         },
     )
 
-    # The acceptance bars, on the host-normalized metric: >=5x on
-    # OMEGA, >=2.5x on the baseline (whose residual is its true L1
-    # miss set — the 5x bar is structurally unreachable there; see
-    # docs/performance.md).
+    # The acceptance bars, on the host-normalized metric.
     for name, bar in SPEEDUP_BARS.items():
         assert results[name]["speedup_normalized"] > bar, (name, results)

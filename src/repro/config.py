@@ -23,7 +23,11 @@ from dataclasses import dataclass, replace
 from repro.errors import ConfigError
 
 __all__ = ["CacheConfig", "ScratchpadConfig", "DramConfig", "InterconnectConfig",
-           "CoreConfig", "SimConfig"]
+           "CoreConfig", "SimConfig", "MAX_CORES"]
+
+#: Most cores a configuration may have: the coherence directory keeps
+#: each line's sharers in one 64-bit mask.
+MAX_CORES = 64
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,11 @@ class CoreConfig:
     imbalance_factor: float = 1.1
 
     def __post_init__(self) -> None:
-        if self.num_cores <= 0:
-            raise ConfigError(f"num_cores must be > 0, got {self.num_cores}")
+        if not 0 < self.num_cores <= MAX_CORES:
+            # The directory's sharer mask is one 64-bit word.
+            raise ConfigError(
+                f"num_cores must be in 1..{MAX_CORES}, got {self.num_cores}"
+            )
         if self.mlp <= 0:
             raise ConfigError(f"mlp must be > 0, got {self.mlp}")
 

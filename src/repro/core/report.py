@@ -29,8 +29,10 @@ __all__ = ["SimReport", "Comparison", "MANIFEST_SCHEMA"]
 #: ``replay.kernel`` (batch-kernel screening telemetry: screened /
 #: grouped / serialized event counts, per-generation screening, and
 #: the execution mode; ``None`` when the run predates the kernel
-#: block).
-MANIFEST_SCHEMA = "omega-repro/run-manifest/v6"
+#: block). v7 shrank ``replay.kernel`` to ``mode``/``batches``/
+#: ``events`` when the compiled kernel replaced screening and
+#: grouping; readers of v6 files keep finding the old fields there.
+MANIFEST_SCHEMA = "omega-repro/run-manifest/v7"
 
 
 @dataclass

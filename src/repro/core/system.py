@@ -677,6 +677,18 @@ def _pin_source(graph: CSRGraph, algorithm: str, alg_kwargs: Dict) -> None:
         alg_kwargs["source"] = default_source(graph)
 
 
+def _check_graph(graph) -> None:
+    """Reject a non-graph ``graph`` argument at the entry point."""
+    if not isinstance(graph, CSRGraph):
+        hint = (
+            " (load_dataset returns a (graph, spec) pair; pass its"
+            " first element)" if isinstance(graph, tuple) else ""
+        )
+        raise SimulationError(
+            f"graph must be a CSRGraph, got {type(graph).__name__}{hint}"
+        )
+
+
 def _merge_request(
     request: Optional[RunRequest],
     algorithm: Optional[str],
@@ -840,6 +852,7 @@ def run_system(
         ambient configuration explicitly. When given, the run is fully
         stateless with respect to process globals and environment.
     """
+    _check_graph(graph)
     request = _merge_request(request, algorithm, alg_kwargs)
     num_cores_hint = 16
     if request is not None:
@@ -985,6 +998,7 @@ def estimate_system(
     Accepts ``request=``/``context=`` exactly like :func:`run_system`.
     Returns the :class:`~repro.memsim.estimate.ReplayEstimate`.
     """
+    _check_graph(graph)
     request = _merge_request(request, algorithm, alg_kwargs)
     num_cores_hint = 16
     if request is not None:

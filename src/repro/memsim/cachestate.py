@@ -3,64 +3,23 @@
 :class:`CacheSystem` owns everything a cache-routed event can touch —
 per-core L1s, the banked L2, the MESI directory, the stream
 prefetcher, DRAM row state, interconnect accounting — and replays
-pre-routed event batches over it. Two execution paths produce
-*bit-identical* results:
+pre-routed event batches over it along one of two *bit-identical*
+paths:
 
 - the **scalar oracle** (:meth:`CacheSystem.access`, driven by
   :meth:`CacheSystem._replay_generic`): one event per Python
-  iteration, the seed semantics. Forced with ``REPRO_SCALAR_CACHE=1``
-  in the environment or ``HierarchyBackend.force_scalar_cache``.
-- the **batch kernel** (:meth:`CacheSystem._replay_kernel`): a
-  vectorized screening pass resolves every *guaranteed hit* in one
-  numpy sweep (latency, counters, and LRU effect all known without
-  touching state), and only the residual events — those that can
-  conflict on a cache set, miss, or carry coherence side effects —
-  serialize through the inlined loop.
+  iteration over the :class:`Cache` / :class:`Directory` /
+  :class:`StreamDetector` objects, the seed semantics. Forced with
+  ``REPRO_SCALAR_CACHE=1`` or ``HierarchyBackend.force_scalar_cache``,
+  and the fallback when the compiled kernel cannot be built.
+- the **compiled kernel** (:meth:`CacheSystem._replay_compiled`): the
+  whole batch in one C call over flat array state
+  (:mod:`repro.memsim.ckernel`); Python folds its counter deltas into
+  the model objects.
 
-The batch-segmentation invariant the kernel relies on
-(:func:`screen_guaranteed_hits`): an event whose nearest *same-core*
-same-line predecessor in the batch is slot-adjacent (no intervening
-same-(core, L1-set) event) is a guaranteed L1 hit whose
-``move_to_end`` is a no-op — the line is still the set's MRU entry —
-so the event has **no state effect at all** and exactly ``l1_latency``
-cost. Reads tolerate intervening same-line *reads by other cores*
-(a read never invalidates another core's copy and a read hit never
-consults the directory); writes require the immediately preceding
-same-line event to be a same-core write, so the dirty bit and the
-directory's exclusive-owner entry are already established and the
-directory transition is idempotent. Such events never enter the
-serialized loop; their latency is prefilled and their hit counts fall
-out of the per-core complement (events minus misses).
-
-Screening runs to a *generational fixpoint*
-(:func:`screen_fixpoint`): a screened event is a total no-op, so
-deleting it yields a state-equivalent batch — re-screening the
-compacted residual can qualify events whose predecessor chain was
-previously interrupted by a now-removed no-op (e.g. the write in a
-same-core W,R,W chain only screens once the interleaved read is
-gone). Each generation is the same O(n log n) sort machinery over a
-shrinking residual, and soundness follows by induction: every
-generation's conditions are valid from an *arbitrary* start state, so
-they remain valid on the compacted sequence.
-
-The residual is then partitioned into independent conflict groups
-(:meth:`CacheSystem._residual_spans`): cores are merged when their
-residual events share a line (coherence), share a (bank, L2-set)
-slot (LRU interaction), can invalidate a pre-batch sharer's L1, or
-can evict a resident occupant another group touches. Groups that
-survive the merge provably cannot interact, so the residual replays
-group-major — each group a contiguous sub-batch — with per-event
-latencies scattered back to original positions, which keeps the
-``np.add.at`` per-core float fold bit-identical to batch order. Only
-genuinely coupled events (and every batch under an open/hybrid DRAM
-page policy, whose row machine serializes globally) stay in one
-serialized span.
-
-Unlike the pre-refactor fast path, the kernel covers **every**
-interconnect topology and DRAM page policy: mesh hop latencies are
-precomputed per (core, bank) pair, and the open/hybrid-page row-buffer
-state machine is inlined with per-event channel/row columns computed
-vectorized up front.
+A system uses one path for its whole life: in kernel mode the model
+objects carry the counters only, and :meth:`CacheSystem.state` is the
+one view of the final cache, directory, prefetcher and DRAM state.
 """
 
 from __future__ import annotations
@@ -71,6 +30,7 @@ import numpy as np
 
 from repro.config import SimConfig
 from repro.memsim.cache import Cache
+from repro.memsim.ckernel import FlatCacheState, load_kernel
 from repro.memsim.coherence import Directory
 from repro.memsim.dram import DramModel
 from repro.memsim.geometry import BankGeometry
@@ -85,9 +45,6 @@ __all__ = [
     "SCALAR_CACHE_ENV",
     "iter_set_bits",
     "scalar_cache_forced",
-    "screen_fixpoint",
-    "screen_guaranteed_hits",
-    "set_bit_positions",
 ]
 
 #: Environment variable forcing the scalar reference oracle.
@@ -115,8 +72,7 @@ class CacheRecord:
     Optional observability sidecar of :meth:`CacheSystem.replay_cache_path`:
     when passed, both execution paths fill one row per event at the
     exact counter-increment sites, so column sums reproduce the batch's
-    ``MemStats`` deltas bit-identically. Screened guaranteed hits never
-    enter the serialized loop, which is why ``l1_hit`` *defaults* to
+    ``MemStats`` deltas bit-identically. ``l1_hit`` *defaults* to
     True — only the miss path flips it.
 
     ``writebacks`` counts dirty-line DRAM write-backs *triggered by*
@@ -138,10 +94,8 @@ class CacheRecord:
 def iter_set_bits(mask: int) -> Iterator[int]:
     """Yield the positions of the set bits of ``mask``, LSB first.
 
-    The scalar reference form of the sharer-bitmask walks
-    (invalidation targets are the set bits of a directory mask); the
-    kernel's invalidation sites use :func:`set_bit_positions` for
-    multi-target masks.
+    The oracle's sharer-bitmask walk: invalidation targets are the
+    set bits of a directory mask.
     """
     pos = 0
     while mask:
@@ -151,290 +105,38 @@ def iter_set_bits(mask: int) -> Iterator[int]:
         pos += 1
 
 
-def set_bit_positions(mask: int) -> np.ndarray:
-    """Set-bit positions of ``mask`` as an array, LSB first.
-
-    Vectorized twin of :func:`iter_set_bits` (the oracle-path
-    reference): the mask's little-endian bytes unpack to a bit plane
-    and ``np.flatnonzero`` reads off the positions in one sweep. Used
-    by the kernel's invalidation path when a sharer mask has multiple
-    targets.
-    """
-    if mask <= 0:
-        return np.empty(0, dtype=np.int64)
-    nbytes = (mask.bit_length() + 7) // 8
-    bits = np.unpackbits(
-        np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8),
-        bitorder="little",
-    )
-    return np.flatnonzero(bits)
-
-
-def screen_guaranteed_hits(
-    cores: np.ndarray,
-    lines: np.ndarray,
-    writes: np.ndarray,
-    num_sets: int,
-) -> np.ndarray:
-    """Mark events that provably have *no effect* on cache state.
-
-    Returns a boolean mask over the batch. A marked **read**
-    satisfies, within the batch:
-
-    1. its nearest preceding *same-core* event on the same cache line
-       exists (that access, hit or miss, left the line resident and
-       MRU in this core's L1);
-    2. no other event touched the same (core, L1-set) slot in between
-       (so the line is still that set's MRU entry: it cannot have been
-       evicted, and the LRU touch the event would apply is a no-op);
-    3. no *write* to the line intervened (only a write can invalidate
-       this core's copy; reads by other cores are transparent — they
-       never touch a foreign L1, and a read hit never consults the
-       directory).
-
-    A marked **write** satisfies the strict form: the immediately
-    preceding same-line event is a same-core *write*, slot-adjacent —
-    so the dirty bit is already set and the directory already records
-    this core as the exclusive owner, making the write's directory
-    transition idempotent with no invalidations or writebacks.
-
-    Such an event is an L1 hit costing exactly ``l1_latency`` whose
-    replay changes nothing: the kernel resolves it entirely in this
-    vectorized pass and drops it from the serialized loop. Every
-    condition is trace-structural — valid from an *arbitrary* start
-    state, dependent only on the batch's event order — which is both
-    what makes screening a numpy sweep and what makes iterating it
-    sound (:func:`screen_fixpoint`).
-    """
-    n = len(lines)
-    out = np.zeros(n, dtype=bool)
-    if n < 2:
-        return out
-    cores = np.asarray(cores, dtype=np.int64)
-    lines = np.asarray(lines, dtype=np.int64)
-    writes = np.asarray(writes, dtype=bool)
-    slot = cores * num_sets + lines % num_sets
-    so = _slot_argsort(slot)
-    lo = _line_argsort(lines)
-    linepos = np.empty(n, dtype=np.int32)
-    cwg = np.empty(n, dtype=np.int32)
-    hit = _screen_pass(lines, writes, slot, so, lo, linepos, cwg)
-    out[hit] = True
-    return out
-
-
-def _slot_argsort(slot: np.ndarray) -> np.ndarray:
-    """Stable argsort of the small-range slot keys.
-
-    Slot ids are bounded by ncores * num_sets, so they almost always
-    fit int16 — where numpy's stable sort is a radix sort, several
-    times faster than the int64 comparison sort.
-    """
-    if len(slot) and int(slot.max()) < 32768:
-        return np.argsort(slot.astype(np.int16), kind="stable")
-    return np.argsort(slot, kind="stable")
-
-
-def _line_argsort(lines: np.ndarray) -> np.ndarray:
-    """Stable argsort of line ids, radix-sorted when the range allows.
-
-    Graph traces touch a compact address window (the vtxProp/CSR
-    regions), so line ids usually span far fewer than 2**16 distinct
-    values even though their absolute magnitudes are large. Shifting
-    by the minimum exposes numpy's uint16 radix sort; wide windows
-    fall back to the int64 comparison sort.
-    """
-    if len(lines):
-        lmin = int(lines.min())
-        if int(lines.max()) - lmin < 65536:
-            return np.argsort(
-                (lines - lmin).astype(np.uint16), kind="stable"
-            )
-    return np.argsort(lines, kind="stable")
-
-
-def _screen_pass(lines, writes, slot, so, lo, linepos, cwg):
-    """One screening generation over sorted views; the shared core of
-    :func:`screen_guaranteed_hits` and :func:`screen_fixpoint`.
-
-    ``so``/``lo`` are the residual's batch indices in slot-major and
-    line-major stable order; ``linepos``/``cwg`` are caller-provided
-    batch-size scratch arrays (stale entries at screened-out positions
-    are never read). Returns the batch indices newly screened.
-
-    The slot-major formulation makes both rules two-view: a same-core
-    same-line predecessor *is* the slot-predecessor when it is
-    slot-adjacent (same core + same line implies same slot). Both
-    rules then reduce to comparisons in line-major coordinates — the
-    line order groups each line's events contiguously (batch-ordered
-    within the group), so for a slot-adjacent same-line pair ``(prev,
-    cur)``:
-
-    - *read rule*: no write to the line intervenes iff the cumulative
-      write count (one global cumsum over the line order — no group
-      reset needed, since positions between two same-line events are
-      all same-line) is equal at both positions;
-    - *write rule*: nothing at all intervenes on the line iff their
-      line positions are adjacent, tightened by "both are writes".
-    """
-    r = len(so)
-    # Line-major pass: per-event line position and running write count.
-    cw = cwg[:r]
-    np.cumsum(writes[lo], dtype=np.int32, out=cw)
-    linepos[lo] = np.arange(r, dtype=np.int32)
-    # Slot-major pass: test each event against its slot predecessor.
-    ss = slot[so]
-    sl = lines[so]
-    sw = writes[so]
-    p = linepos[so]
-    pprev = p[:-1]
-    pcur = p[1:]
-    base = (ss[1:] == ss[:-1]) & (sl[1:] == sl[:-1])
-    ok = base & np.where(
-        sw[1:],
-        sw[:-1] & (pcur == pprev + 1),
-        cw[pcur] == cw[pprev],
-    )
-    return so[1:][ok]
-
-
-def screen_fixpoint(
-    cores: np.ndarray,
-    lines: np.ndarray,
-    writes: np.ndarray,
-    num_sets: int,
-) -> "tuple[np.ndarray, List[int], np.ndarray]":
-    """Iterate :func:`screen_guaranteed_hits` to a generational fixpoint.
-
-    A screened event is a total no-op, so deleting it leaves a batch
-    whose replay is state-equivalent at every remaining event — and
-    the screen's conditions hold from an arbitrary start state, so
-    re-screening the compacted residual is sound by induction. Each
-    generation rescreens the shrinking residual
-    and can qualify events whose predecessor chain was previously
-    interrupted by a now-removed no-op (a same-core W,R,W chain
-    screens its read in generation 1 and its second write only in
-    generation 2, once the read is gone).
-
-    Returns ``(skip, generations, line_order)``: the combined boolean
-    mask over the batch, the per-generation screened counts, and the
-    surviving residual's batch indices in line-major stable order — a
-    byproduct of the incremental iteration that
-    :meth:`CacheSystem._residual_spans` reuses to find coherence
-    pairs without re-sorting. The batch is
-    sorted once; later generations filter the slot-major and
-    line-major index arrays in place of re-sorting (removing elements
-    preserves sortedness), so each extra generation costs O(residual)
-    rather than another sort. Iteration stops at the true fixpoint (a
-    generation that screens nothing) or at a diminishing-returns
-    cutoff — when a generation resolves less than 1/32 of the residual
-    it screened from, the next pass costs more than the loop events it
-    would save. The cutoff is deterministic, so replay results are
-    still reproducible bit-for-bit; it only leaves some provable
-    no-ops to the serialized loop, which handles them correctly
-    anyway.
-    """
-    n = len(lines)
-    skip = np.zeros(n, dtype=bool)
-    generations: List[int] = []
-    if n < 2:
-        return skip, generations, np.arange(n, dtype=np.int64)
-    cores = np.asarray(cores, dtype=np.int64)
-    lines = np.asarray(lines, dtype=np.int64)
-    writes = np.asarray(writes, dtype=bool)
-    slot = cores * num_sets + lines % num_sets
-    so = _slot_argsort(slot)
-    lo = _line_argsort(lines)
-    linepos = np.empty(n, dtype=np.int32)
-    cwg = np.empty(n, dtype=np.int32)
-    while len(so) >= 2:
-        before = len(so)
-        hit = _screen_pass(lines, writes, slot, so, lo, linepos, cwg)
-        c = len(hit)
-        if c == 0:
-            break
-        skip[hit] = True
-        generations.append(c)
-        keep = ~skip
-        so = so[keep[so]]
-        lo = lo[keep[lo]]
-        if c * 32 < before:
-            break
-    return skip, generations, lo
-
-
 class KernelTelemetry:
-    """Aggregate screening/grouping counters across a system's batches.
+    """Batch and event counts of a system's compiled-kernel replays.
 
     One instance lives on each :class:`CacheSystem` and accumulates
     over every kernel batch the system replays (all segments and
-    windows of a run), so the totals answer "how much of this run's
-    cache path was resolved without the serialized loop" — the
-    manifest's ``replay.kernel`` block and the Perfetto counter track
-    both read from here. The scalar oracle path never touches it:
-    ``batches`` stays 0 and the replay block reports mode "scalar".
+    windows of a run); the manifest's ``replay.kernel`` block and the
+    Perfetto counter track read from here. The scalar oracle never
+    touches it: ``batches`` stays 0 and the replay block reports mode
+    "scalar".
     """
 
-    __slots__ = ("batches", "events", "screened_per_generation",
-                 "grouped_events", "serialized_events", "groups")
+    __slots__ = ("batches", "events")
 
     def __init__(self) -> None:
         self.batches = 0
         self.events = 0
-        self.screened_per_generation: List[int] = []
-        self.grouped_events = 0
-        self.serialized_events = 0
-        self.groups = 0
-
-    def observe(self, events: int, generations: List[int],
-                grouped: int, serialized: int, groups: int) -> None:
-        """Fold one kernel batch's screening outcome into the totals."""
-        self.batches += 1
-        self.events += events
-        spg = self.screened_per_generation
-        for g, count in enumerate(generations):
-            if g < len(spg):
-                spg[g] += count
-            else:
-                spg.append(count)
-        self.grouped_events += grouped
-        self.serialized_events += serialized
-        self.groups += groups
-
-    @property
-    def screened(self) -> int:
-        """Events resolved by screening alone, across all generations."""
-        return sum(self.screened_per_generation)
-
-    @property
-    def screened_fraction(self) -> float:
-        """Screened share of all kernel-replayed cache events."""
-        return self.screened / self.events if self.events else 0.0
 
     def as_dict(self) -> dict:
         """The manifest shape of the counters (JSON-safe)."""
-        return {
-            "batches": self.batches,
-            "events": self.events,
-            "screened": self.screened,
-            "screened_fraction": round(self.screened_fraction, 6),
-            "screened_per_generation": list(self.screened_per_generation),
-            "generations": len(self.screened_per_generation),
-            "grouped_events": self.grouped_events,
-            "serialized_events": self.serialized_events,
-            "groups": self.groups,
-        }
+        return {"batches": self.batches, "events": self.events}
 
 
 class CacheSystem:
     """The shared cache path: L1s + banked L2 + directory + DRAM.
 
     Exposes both the scalar :meth:`access` (seed semantics, the
-    reference oracle) and :meth:`replay_cache_path`, which screens the
-    batch for guaranteed hits and serializes only the residual events
-    through a fully inlined loop. ``fast_path_ok`` selects the kernel;
-    it starts ``False`` only when ``REPRO_SCALAR_CACHE=1`` is set, and
-    backends flip it off for ``force_scalar_cache``.
+    reference oracle) and :meth:`replay_cache_path`, which replays a
+    whole batch through the compiled kernel. ``fast_path_ok`` selects
+    the kernel; it starts ``False`` only when ``REPRO_SCALAR_CACHE=1``
+    is set, backends flip it off for ``force_scalar_cache``, and it
+    drops to ``False`` at the first batch when the kernel cannot be
+    built.
     """
 
     def __init__(self, config: SimConfig, stats: MemStats,
@@ -467,22 +169,21 @@ class CacheSystem:
         # sequential line streams (edgeList scans); the fetch itself
         # (traffic, cache fills) still happens.
         self.prefetcher = StreamDetector(ncores)
-        #: Whether replay_cache_path may use the batch kernel. The
+        #: Whether replay_cache_path may use the compiled kernel. The
         #: kernel covers every topology and page policy; only the
-        #: escape hatches disable it. ``scalar_cache`` is threaded
+        #: escape hatches (or a missing compiler) disable it.
+        #: ``scalar_cache`` is threaded
         #: from the run's :class:`repro.core.context.RunContext`;
         #: ``None`` (direct construction) falls back to the deprecated
         #: ambient :func:`scalar_cache_forced` veneer.
         if scalar_cache is None:
             scalar_cache = scalar_cache_forced()
         self.fast_path_ok = not scalar_cache
-        #: Screening/grouping counters accumulated over every kernel
-        #: batch this system replays (see :class:`KernelTelemetry`).
+        #: Batch/event counts over every kernel batch this system
+        #: replays (see :class:`KernelTelemetry`).
         self.kernel_telemetry = KernelTelemetry()
-
-    def _prefetched(self, core: int, line: int) -> bool:
-        """Stride detection: is ``line`` the next line of a live stream?"""
-        return self.prefetcher.observe(core, line)
+        #: Kernel-mode state, built at the first kernel batch.
+        self._flat: Optional[FlatCacheState] = None
 
     # ------------------------------------------------------------------
     # Scalar oracle (reference semantics + external callers)
@@ -586,8 +287,6 @@ class CacheSystem:
         cores: np.ndarray,
         addrs: np.ndarray,
         lines: np.ndarray,
-        banks: np.ndarray,
-        bank_keys: np.ndarray,
         writes: np.ndarray,
         atomics: np.ndarray,
         mem_lat: List[float],
@@ -605,48 +304,18 @@ class CacheSystem:
         """
         if len(cores) == 0:
             return
-        cores64 = np.asarray(cores, dtype=np.int64)
-        if not self.fast_path_ok:
-            self._replay_generic(
-                cores64.tolist(),
-                np.asarray(addrs, dtype=np.int64).tolist(),
-                np.asarray(writes).tolist(),
-                np.asarray(atomics).tolist(),
-                mem_lat, serial, record,
-            )
-            return
-        lats = self._replay_kernel(
-            cores64,
-            np.asarray(addrs, dtype=np.int64),
-            np.asarray(lines, dtype=np.int64),
-            np.asarray(banks, dtype=np.int64),
-            np.asarray(bank_keys, dtype=np.int64),
-            np.asarray(writes, dtype=bool),
-            record,
+        if self.fast_path_ok:
+            if self._replay_compiled(cores, addrs, lines, writes, atomics,
+                                     mem_lat, serial, record):
+                return
+            self.fast_path_ok = False  # no kernel: the oracle from here on
+        self._replay_generic(
+            np.asarray(cores, dtype=np.int64).tolist(),
+            np.asarray(addrs, dtype=np.int64).tolist(),
+            np.asarray(writes).tolist(),
+            np.asarray(atomics).tolist(),
+            mem_lat, serial, record,
         )
-        # Latency accounting happens vectorized, after the loop: the
-        # atomic split and per-core sums fold via bincount.
-        core_cfg = self.config.core
-        ser = core_cfg.atomic_serialization
-        stall = core_cfg.atomic_stall_cycles
-        atom = np.asarray(atomics, dtype=bool)
-        lat = np.asarray(lats)
-        n_atomic = int(np.count_nonzero(atom))
-        mem = np.where(atom, lat * (1.0 - ser), lat)
-        # np.add.at accumulates element-by-element in event order, so
-        # the float association matches the scalar oracle exactly even
-        # when the batch is a window segment of a longer replay
-        # (bincount would fold a partial sum and drift by one ULP).
-        mem_sums = np.asarray(mem_lat, dtype=np.float64)
-        np.add.at(mem_sums, cores64, mem)
-        mem_lat[:] = mem_sums.tolist()
-        if n_atomic:
-            self.stats.atomics_total += n_atomic
-            self.stats.atomics_on_cores += n_atomic
-            srl = np.where(atom, lat * ser + stall, 0.0)
-            ser_sums = np.asarray(serial, dtype=np.float64)
-            np.add.at(ser_sums, cores64, srl)
-            serial[:] = ser_sums.tolist()
 
     def _replay_generic(self, cores, addrs, writes, atomics,
                         mem_lat, serial, record=None) -> None:
@@ -690,648 +359,98 @@ class CacheSystem:
             else:
                 mem_lat[core] += latency
 
-    def _replay_kernel(self, cores, addrs, lines, banks, bank_keys, writes,
-                       record=None):
-        """Screened batch kernel: numpy for guaranteed hits, a
-        serialized loop for the residual.
+    def _replay_compiled(self, cores, addrs, lines, writes, atomics,
+                         mem_lat, serial, record=None) -> bool:
+        """One kernel pass over the whole batch, then the counter fold.
 
-        Mirrors :meth:`access` operation-for-operation on the residual
-        events but keeps every counter in a local and touches the
-        cache/directory/prefetcher dicts directly, flushing totals back
-        to the model objects once at the end. Guaranteed hits
-        (:func:`screen_guaranteed_hits`) never enter the loop: their
-        latency is prefilled with the L1 latency and their effects are
-        provably nil — which is also why ``record`` rows default to
-        "L1 hit, nothing else": only the residual miss path writes
-        outcome rows, at the same sites the counters increment.
+        Returns ``False``, having replayed nothing, when the kernel is
+        unavailable (the flat state is built at the first batch, so
+        constructing a system never compiles or loads anything). The
+        kernel folds each event's latency into ``mem_lat`` /
+        ``serial`` in event order — the same float operations, in the
+        same order, as :meth:`_replay_generic` — and returns its counter
+        deltas, which land here on the same model objects (stats,
+        caches, directory, crossbar, DRAM) the oracle updates.
         """
-        config = self.config
-        ncores = self.ncores
-        l1_nsets = self.l1s[0]._num_sets
-        l1_ways = self.l1s[0]._ways
-        l2_nsets = self.l2_banks[0]._num_sets
-        l2_ways = self.l2_banks[0]._ways
-        l1_sets = [c._sets for c in self.l1s]
-        l2_sets = [b._sets for b in self.l2_banks]
-        dir_lines = self.directory._lines
-        flat_l1 = [s for c in self.l1s for s in c._sets]
-        flat_l2 = [s for b in self.l2_banks for s in b._sets]
-        # Prefetcher state, inlined for the L1-miss path (same lists
-        # the StreamDetector mutates, so state stays coherent).
-        pref = self.prefetcher
-        p_heads = pref._heads
-        p_next = pref._next
-        p_want = pref._want
-        num_heads = pref.num_heads
-
-        n = len(cores)
-        # The vectorized pass: set indices are state-independent, and
-        # the generational screen resolves every guaranteed hit
-        # without state.
-        s1i = cores * l1_nsets + lines % l1_nsets
-        l2i = banks * l2_nsets + bank_keys % l2_nsets
-        skip, generations, lo_res = screen_fixpoint(
-            cores, lines, writes, l1_nsets
-        )
-        keep = np.flatnonzero(~skip)
-        nkeep = len(keep)
-
-        # Interconnect latencies are per-(core, bank) constants under
-        # both topologies; precompute the table the miss path indexes.
-        xcfg = self.crossbar.config
-        if xcfg.topology == "crossbar":
-            bank_lat = [[self.remote_lat] * ncores] * ncores
-            wb_lat = self.remote_lat
-        else:
-            bank_lat = [
-                [self.crossbar.transfer_latency(c, b) for b in range(ncores)]
-                for c in range(ncores)
-            ]
-            wb_lat = self.crossbar.transfer_latency()
-        # Invalidation acks cost one crossbar round trip regardless of
-        # topology (matches _invalidate).
-        remote_lat = self.remote_lat
-
-        # DRAM page policy: closed is a constant; open/hybrid run the
-        # per-channel row-buffer machine with vectorized per-event
-        # channel/row columns (hybrid's random ranges resolved up
-        # front; victim write-backs compute theirs in-loop).
+        if self._flat is None:
+            lib = load_kernel()
+            if lib is None:
+                return False
+            self._flat = FlatCacheState(lib, self.config, self.crossbar,
+                                        self.prefetcher.num_heads)
         dram = self.dram
-        dcfg = config.dram
-        closed_page = dcfg.page_policy == "closed"
-        dram_lat = dcfg.latency_cycles
-        if closed_page:
-            track_rows = False
-            chan_l = row_l = rand_l = None
-            channels = row_bytes = row_hit_cyc = row_miss_cyc = 0
-            open_rows = None
-            ranges = ()
-        else:
-            track_rows = True
-            channels = dcfg.channels
-            row_bytes = dcfg.row_bytes
-            row_hit_cyc = dcfg.row_hit_cycles
-            row_miss_cyc = dcfg.row_miss_cycles
-            open_rows = list(dram._open_rows)
-            # Only the hybrid policy consults the random ranges; plain
-            # open-page runs the row machine for every access.
-            ranges = (
-                list(dram._random_ranges)
-                if dcfg.page_policy == "hybrid" else []
-            )
-            kept_addrs = addrs[keep]
-            chan_l = ((kept_addrs // 64) % channels).tolist()
-            row_l = (kept_addrs // row_bytes).tolist()
-            if ranges:
-                rand = np.zeros(len(keep), dtype=bool)
-                for lo_a, hi_a in ranges:
-                    rand |= (kept_addrs >= lo_a) & (kept_addrs < hi_a)
-                rand_l = rand.tolist()
-            else:
-                rand_l = [False] * len(keep)
-        rowh = 0
-        rowm = 0
+        ranges = (dram._random_ranges
+                  if self.config.dram.page_policy == "hybrid" else ())
+        k = self._flat.replay(cores, addrs, lines, writes, atomics, mem_lat,
+                              serial, dram._open_rows, ranges, record)
+        kt = self.kernel_telemetry
+        kt.batches += 1
+        kt.events += len(cores)
 
-        # Residual columns. Under a closed DRAM page (the only policy
-        # without a globally serializing row machine) the residual is
-        # partitioned into independent conflict groups and replayed
-        # group-major: the permutation concatenates each group's
-        # events in batch order, which is exactly "replay the groups
-        # as independent sub-batches". Latencies scatter back through
-        # ``keep`` to original positions, so the np.add.at per-core
-        # float fold is bit-identical to batch order.
-        kc = cores[keep]
-        kl = lines[keep]
-        kw = writes[keep]
-        ks1 = s1i[keep]
-        kb = banks[keep]
-        kk = bank_keys[keep]
-        kl2 = l2i[keep]
-        spans = None
-        if closed_page and nkeep > 1 and ncores > 1:
-            # Map the fixpoint's surviving line-major order (batch
-            # indices) to residual positions, so the span search never
-            # re-sorts the lines.
-            rpos = np.empty(n, dtype=np.int64)
-            rpos[keep] = np.arange(nkeep, dtype=np.int64)
-            spans = self._residual_spans(
-                kc, kl, kw, kl2, ks1, flat_l1, rpos[lo_res]
-            )
-        if spans is not None:
-            perm = np.concatenate(spans)
-            kc = kc[perm]
-            kl = kl[perm]
-            kw = kw[perm]
-            ks1 = ks1[perm]
-            kb = kb[perm]
-            kk = kk[perm]
-            kl2 = kl2[perm]
-            keep_res = keep[perm]
-        else:
-            keep_res = keep
-        self.kernel_telemetry.observe(
-            events=n,
-            generations=generations,
-            grouped=nkeep if spans is not None else 0,
-            serialized=0 if spans is not None else nkeep,
-            groups=(len(spans) if spans is not None
-                    else (1 if nkeep else 0)),
-        )
-        cores_l = kc.tolist()
-        lines_l = kl.tolist()
-        writes_l = kw.tolist()
-        s1i_l = ks1.tolist()
-        banks_l = kb.tolist()
-        keys_l = kk.tolist()
-        l2i_l = kl2.tolist()
-        keep_l = keep_res.tolist()
-
-        l1_lat = float(self.l1_lat)
-        pref_lat = float(self.l1_lat + 1)
-        l2_lat = self.l2_lat
+        stats, xbar = self.stats, self.crossbar
+        header = xbar.config.header_bytes
         line_bytes = self.line_bytes
-        line_bits = self.line_bits
-        header = xcfg.header_bytes
-        lb_h = line_bytes + header
-        bank_mask = self.bank_mask
-        bank_bits = self.bank_bits
+        inval = k["invalidations"]
+        packets = k["line_packets"]
+        reads = k["demand_l2_misses"]
+        writebacks = k["dram_writes"]
+        stats.l1_hits += sum(k["l1_hits"])
+        stats.l1_misses += sum(k["l1_misses"])
+        stats.l2_hits += k["demand_l2_hits"]
+        stats.l2_misses += reads
+        stats.prefetch_hits += k["prefetch"]
+        stats.onchip_line_bytes += packets * (line_bytes + header)
+        stats.onchip_word_bytes += inval * header
+        stats.coherence_invalidations += inval
+        stats.dram_read_bytes += reads * line_bytes
+        stats.dram_write_bytes += writebacks * line_bytes
+        stats.atomics_total += k["atomics"]
+        stats.atomics_on_cores += k["atomics"]
+        for level, caches in (("l1", self.l1s), ("l2", self.l2_banks)):
+            for name in ("hits", "misses", "evictions", "dirty_evictions"):
+                for cache, count in zip(caches, k[f"{level}_{name}"]):
+                    setattr(cache, name, getattr(cache, name) + count)
+        self.directory.invalidations += inval
+        self.directory.writebacks += k["dir_writebacks"]
+        xbar.line_packets += packets
+        xbar.line_bytes += packets * (line_bytes + header)
+        xbar.control_packets += inval
+        xbar.control_bytes += inval * header
+        dram.read_accesses += reads
+        dram.read_bytes += reads * line_bytes
+        dram.write_accesses += writebacks
+        dram.write_bytes += writebacks * line_bytes
+        dram.row_hits += k["row_hits"]
+        dram.row_misses += k["row_misses"]
+        return True
 
-        l1h = [0] * ncores
-        l1m = [0] * ncores
-        l1e = [0] * ncores
-        l1de = [0] * ncores
-        l2h = [0] * ncores
-        l2m = [0] * ncores
-        l2e = [0] * ncores
-        l2de = [0] * ncores
-        s_l2_hits = 0
-        s_l2_misses = 0
-        s_pref = 0
-        s_onchip_line = 0
-        s_onchip_word = 0
-        s_coh_inv = 0
-        s_dram_rd = 0
-        s_dram_wr = 0
-        x_line_pkts = 0
-        x_ctrl_pkts = 0
-        d_inval = 0
-        d_wb = 0
-        dram_racc = 0
-        dram_wacc = 0
+    # ------------------------------------------------------------------
+    # State export
+    # ------------------------------------------------------------------
+    def state(self) -> dict:
+        """The final cache path state, identical in shape for both paths.
 
-        def victim_write(vaddr: int) -> None:
-            """Row-state effect of a posted victim write-back."""
-            nonlocal rowh, rowm
-            for lo_a, hi_a in ranges:
-                if lo_a <= vaddr < hi_a:
-                    return
-            ch = (vaddr // 64) % channels
-            row = vaddr // row_bytes
-            if open_rows[ch] == row:
-                rowh += 1
-            else:
-                rowm += 1
-                open_rows[ch] = row
-
-        rec_on = record is not None
-        if rec_on:
-            r_l1 = record.l1_hit
-            r_l2h = record.l2_hit
-            r_l2m = record.l2_miss
-            r_pref = record.prefetch
-            r_wb = record.writebacks
-
-        # Guaranteed hits cost exactly the L1 latency; residual
-        # latencies collect in loop order and scatter back through
-        # ``keep_res`` once at the end (appending to a list beats
-        # per-event ndarray stores, and the prefilled array spares the
-        # final list->array conversion the accounting fold would pay).
-        lats = np.full(n, l1_lat)
-        rl: List[float] = []
-        rl_append = rl.append
-        for core, line, write, si, bank, bank_key, l2si, ki in zip(
-            cores_l, lines_l, writes_l, s1i_l, banks_l, keys_l, l2i_l, keep_l
-        ):
-            s = flat_l1[si]
-            if line in s:
-                s.move_to_end(line)
-                if not write:
-                    rl_append(l1_lat)
-                else:
-                    s[line] = True
-                    me = 1 << core
-                    entry = dir_lines.get(line)
-                    if entry is None:
-                        dir_lines[line] = [me, core]
-                        rl_append(l1_lat)
-                    else:
-                        mask0, owner = entry
-                        others = mask0 & ~me
-                        wb = owner >= 0 and owner != core
-                        entry[0] = me
-                        entry[1] = core
-                        if wb:
-                            d_wb += 1
-                        extra = 0
-                        if others:
-                            lsi = line % l1_nsets
-                            # Single sharer: direct bit math. Multi-
-                            # target masks go through the vectorized
-                            # unpackbits/flatnonzero helper.
-                            if others & (others - 1):
-                                targets = set_bit_positions(others).tolist()
-                            else:
-                                targets = (others.bit_length() - 1,)
-                            for c in targets:
-                                sc = l1_sets[c][lsi]
-                                if line in sc:
-                                    del sc[line]
-                                s_onchip_word += header
-                                x_ctrl_pkts += 1
-                                s_coh_inv += 1
-                                d_inval += 1
-                            extra = remote_lat
-                        if wb:
-                            s_onchip_line += lb_h
-                            x_line_pkts += 1
-                            extra += wb_lat
-                        rl_append(l1_lat + extra)
-            else:
-                latency = l1_lat
-                l1m[core] += 1
-                if rec_on:
-                    r_l1[ki] = False
-                dirty_victim = -1
-                if len(s) >= l1_ways:
-                    victim_line, was_dirty = s.popitem(last=False)
-                    l1e[core] += 1
-                    if was_dirty:
-                        l1de[core] += 1
-                        dirty_victim = victim_line
-                s[line] = write
-                me = 1 << core
-                entry = dir_lines.get(line)
-                if write:
-                    if entry is None:
-                        dir_lines[line] = [me, core]
-                    else:
-                        mask0, owner = entry
-                        others = mask0 & ~me
-                        wb = owner >= 0 and owner != core
-                        entry[0] = me
-                        entry[1] = core
-                        if wb:
-                            d_wb += 1
-                        if others:
-                            lsi = line % l1_nsets
-                            if others & (others - 1):
-                                targets = set_bit_positions(others).tolist()
-                            else:
-                                targets = (others.bit_length() - 1,)
-                            for c in targets:
-                                sc = l1_sets[c][lsi]
-                                if line in sc:
-                                    del sc[line]
-                                s_onchip_word += header
-                                x_ctrl_pkts += 1
-                                s_coh_inv += 1
-                                d_inval += 1
-                            latency += remote_lat
-                        if wb:
-                            s_onchip_line += lb_h
-                            x_line_pkts += 1
-                            latency += wb_lat
-                else:
-                    if entry is None:
-                        dir_lines[line] = [me, -1]
-                    else:
-                        mask0, owner = entry
-                        if owner >= 0 and owner != core:
-                            d_wb += 1
-                            entry[1] = -1
-                            s_onchip_line += lb_h
-                            x_line_pkts += 1
-                            latency += wb_lat
-                        entry[0] = mask0 | me
-
-                if dirty_victim >= 0:
-                    vbank = dirty_victim & bank_mask
-                    vkey = dirty_victim >> bank_bits
-                    if vbank != core:
-                        x_line_pkts += 1
-                        s_onchip_line += lb_h
-                    s2 = l2_sets[vbank][vkey % l2_nsets]
-                    if vkey in s2:
-                        l2h[vbank] += 1
-                        s2.move_to_end(vkey)
-                        s2[vkey] = True
-                    else:
-                        l2m[vbank] += 1
-                        if len(s2) >= l2_ways:
-                            v2, d2 = s2.popitem(last=False)
-                            l2e[vbank] += 1
-                            if d2:
-                                l2de[vbank] += 1
-                                dram_wacc += 1
-                                s_dram_wr += line_bytes
-                                if rec_on:
-                                    r_wb[ki] += 1
-                                if track_rows:
-                                    victim_write(
-                                        ((v2 << bank_bits) | vbank)
-                                        << line_bits
-                                    )
-                        s2[vkey] = True
-                    entry = dir_lines.get(dirty_victim)
-                    if entry is not None:
-                        entry[0] &= ~me
-                        if entry[1] == core:
-                            entry[1] = -1
-                        if entry[0] == 0:
-                            del dir_lines[dirty_victim]
-
-                if bank != core:
-                    latency += bank_lat[core][bank]
-                    x_line_pkts += 1
-                    s_onchip_line += lb_h
-                latency += l2_lat
-                s2 = flat_l2[l2si]
-                if bank_key in s2:
-                    l2h[bank] += 1
-                    s2.move_to_end(bank_key)
-                    if write:
-                        s2[bank_key] = True
-                    s_l2_hits += 1
-                    if rec_on:
-                        r_l2h[ki] = True
-                else:
-                    l2m[bank] += 1
-                    dirty2 = -1
-                    if len(s2) >= l2_ways:
-                        v2, d2 = s2.popitem(last=False)
-                        l2e[bank] += 1
-                        if d2:
-                            l2de[bank] += 1
-                            dirty2 = v2
-                    s2[bank_key] = write
-                    s_l2_misses += 1
-                    s_dram_rd += line_bytes
-                    dram_racc += 1
-                    if rec_on:
-                        r_l2m[ki] = True
-                    if track_rows:
-                        # Exactly one latency is appended per residual
-                        # event, so len(rl) (pre-append) is this
-                        # event's residual ordinal — no per-iteration
-                        # counter needed on the hot paths.
-                        i = len(rl)
-                        if rand_l[i]:
-                            latency += dram_lat
-                        else:
-                            ch = chan_l[i]
-                            row = row_l[i]
-                            if open_rows[ch] == row:
-                                rowh += 1
-                                latency += row_hit_cyc
-                            else:
-                                rowm += 1
-                                open_rows[ch] = row
-                                latency += row_miss_cyc
-                    else:
-                        latency += dram_lat
-                    if dirty2 >= 0:
-                        dram_wacc += 1
-                        s_dram_wr += line_bytes
-                        if rec_on:
-                            r_wb[ki] += 1
-                        if track_rows:
-                            victim_write(
-                                ((dirty2 << bank_bits) | bank) << line_bits
-                            )
-                # Stream-prefetch detection (StreamDetector.observe,
-                # inlined): a line matching some head + 1 counts as
-                # prefetched and advances that head; otherwise it
-                # replaces a round-robin victim head.
-                want = p_want[core]
-                slots = want.get(line)
-                heads = p_heads[core]
-                nxt = line + 1
-                if slots:
-                    slot = min(slots)
-                    slots.remove(slot)
-                    if not slots:
-                        del want[line]
-                    heads[slot] = line
-                    ws = want.get(nxt)
-                    if ws is None:
-                        want[nxt] = [slot]
-                    else:
-                        ws.append(slot)
-                    s_pref += 1
-                    if rec_on:
-                        r_pref[ki] = True
-                    latency = pref_lat
-                else:
-                    slot = p_next[core]
-                    old = heads[slot] + 1
-                    stale = want.get(old)
-                    if stale:
-                        stale.remove(slot)
-                        if not stale:
-                            del want[old]
-                    heads[slot] = line
-                    ws = want.get(nxt)
-                    if ws is None:
-                        want[nxt] = [slot]
-                    else:
-                        ws.append(slot)
-                    p_next[core] = (slot + 1) % num_heads
-                rl_append(latency)
-
-        # Per-core L1 hits fall out of the per-core event counts: the
-        # loop only tallies misses, hits (screened or residual) are the
-        # complement.
-        if rl:
-            lats[keep_res] = rl
-
-        ev_counts = np.bincount(cores, minlength=ncores)
-        for c in range(ncores):
-            l1h[c] = int(ev_counts[c]) - l1m[c]
-        stats = self.stats
-        stats.l1_hits += sum(l1h)
-        stats.l1_misses += sum(l1m)
-        stats.l2_hits += s_l2_hits
-        stats.l2_misses += s_l2_misses
-        stats.prefetch_hits += s_pref
-        stats.onchip_line_bytes += s_onchip_line
-        stats.onchip_word_bytes += s_onchip_word
-        stats.coherence_invalidations += s_coh_inv
-        stats.dram_read_bytes += s_dram_rd
-        stats.dram_write_bytes += s_dram_wr
-        for c in range(ncores):
-            l1 = self.l1s[c]
-            l1.hits += l1h[c]
-            l1.misses += l1m[c]
-            l1.evictions += l1e[c]
-            l1.dirty_evictions += l1de[c]
-            l2 = self.l2_banks[c]
-            l2.hits += l2h[c]
-            l2.misses += l2m[c]
-            l2.evictions += l2e[c]
-            l2.dirty_evictions += l2de[c]
-        self.directory.invalidations += d_inval
-        self.directory.writebacks += d_wb
-        xbar = self.crossbar
-        xbar.line_packets += x_line_pkts
-        xbar.line_bytes += x_line_pkts * lb_h
-        xbar.control_packets += x_ctrl_pkts
-        xbar.control_bytes += x_ctrl_pkts * header
-        dram.read_accesses += dram_racc
-        dram.read_bytes += s_dram_rd
-        dram.write_accesses += dram_wacc
-        dram.write_bytes += s_dram_wr
-        if track_rows:
-            dram.row_hits += rowh
-            dram.row_misses += rowm
-            dram._open_rows[:] = open_rows
-        return lats
-
-    def _residual_spans(self, kc, kl, kw, kl2, ks1, flat_l1, llo):
-        """Partition the residual into independent conflict groups.
-
-        Cores are the union-find nodes — every residual event of a
-        core shares that core's L1 sets and prefetcher state, so a
-        partition of cores induces a partition of events. Two cores
-        are merged whenever their residual events could interact:
-
-        - they touch the **same line** (coherence: invalidations,
-          owner write-backs, sharer-mask order all matter);
-        - they touch the **same (bank, L2-set) slot** (the L2 set's
-          LRU order depends on the interleaving of insertions);
-        - one **writes a line whose pre-batch directory entry** names
-          the other as sharer or owner (the write's invalidation
-          deletes the line from that core's L1 set, changing its
-          occupancy and future victim choice);
-        - one's touched L1 sets hold a **resident occupant line** the
-          other accesses, or whose L2 slot the other touches (evicting
-          the occupant clears its sharer bit / owner and writes a
-          dirty victim into that L2 set — order matters to both).
-
-        Anything not merged provably cannot interact: all remaining
-        effects (counter sums, per-event latencies, disjoint dict
-        keys, own-bit directory clears on shared entries) commute
-        across groups. Returns a list of >= 2 position arrays into the
-        residual (each ascending, so batch order is kept within a
-        group), or ``None`` when the residual is one coupled group.
-        Only called under the closed DRAM page policy — the open and
-        hybrid row machines serialize every group through shared
-        per-channel row state.
-
-        ``llo`` is the residual's line-major stable order (positions),
-        handed down from the screening fixpoint so no re-sort is
-        needed here. Sharing pairs come from *adjacent* elements of a
-        sorted run — unioning every adjacent pair connects the same
-        component as unioning every distinct pair — and the pair ids
-        live in an ncores^2 flag plane, so no ``np.unique`` either.
+        ``l1``/``l2``: per core (bank), per set, the resident
+        ``(line, dirty)`` pairs in LRU order (least recent first; L2
+        entries are bank-local keys). ``directory``: line ->
+        ``(sharer_mask, owner)``. ``prefetch_heads``/``prefetch_next``:
+        the stream detector's per-core heads and round-robin pointers.
+        ``dram_open_rows``: the per-channel open row registers.
         """
-        ncores = self.ncores
-        parent = list(range(ncores))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        def merged() -> bool:
-            reps = {find(int(c)) for c in present}
-            return len(reps) < 2
-
-        present = np.flatnonzero(np.bincount(kc, minlength=ncores))
-        if len(present) < 2:
-            return None
-
-        pair_flags = np.zeros(ncores * ncores, dtype=bool)
-        # (1) cores sharing a line: adjacent cores within each
-        # line-major run.
-        gl = kl[llo]
-        lc = kc[llo]
-        same = gl[1:] == gl[:-1]
-        pair_flags[lc[:-1][same] * ncores + lc[1:][same]] = True
-        # (2) cores sharing a (bank, L2-set) slot: same trick over the
-        # slot-major order (small-range keys, radix argsort).
-        s2o = _slot_argsort(kl2)
-        g2 = kl2[s2o]
-        c2 = kc[s2o]
-        same2 = g2[1:] == g2[:-1]
-        pair_flags[c2[:-1][same2] * ncores + c2[1:][same2]] = True
-        for k in np.flatnonzero(pair_flags).tolist():
-            a, b = divmod(k, ncores)
-            if a != b:
-                union(a, b)
-        if merged():
-            return None
-
-        # (3) pre-batch sharers/owners of written lines: the write's
-        # invalidation reaches into their L1 sets. Any writer of the
-        # line is a valid representative — step (1) already connected
-        # every core touching it.
-        dir_lines = self.directory._lines
-        gw = kw[llo]
-        if np.any(gw):
-            wl = gl[gw]
-            wc = lc[gw]
-            firstw = np.empty(len(wl), dtype=bool)
-            firstw[0] = True
-            np.not_equal(wl[1:], wl[:-1], out=firstw[1:])
-            for line, c in zip(wl[firstw].tolist(), wc[firstw].tolist()):
-                entry = dir_lines.get(line)
-                if entry is None:
-                    continue
-                m = entry[0]
-                while m:
-                    b = m & -m
-                    union(c, b.bit_length() - 1)
-                    m ^= b
-                if entry[1] >= 0:
-                    union(c, entry[1])
-            if merged():
-                return None
-
-        # (4) occupant closure: resident lines of every touched L1 set
-        # can be evicted mid-batch.
-        l1_nsets = self.l1s[0]._num_sets
-        l2_nsets = self.l2_banks[0]._num_sets
-        bank_mask = self.bank_mask
-        bank_bits = self.bank_bits
-        first_l = np.concatenate(([True], gl[1:] != gl[:-1]))
-        line_core = dict(zip(gl[first_l].tolist(), lc[first_l].tolist()))
-        first_s = np.concatenate(([True], g2[1:] != g2[:-1]))
-        slot_core = dict(zip(g2[first_s].tolist(), c2[first_s].tolist()))
-        for si in np.flatnonzero(
-            np.bincount(ks1, minlength=ncores * l1_nsets)
-        ).tolist():
-            c = si // l1_nsets
-            for occ in flat_l1[si]:
-                oc = line_core.get(occ)
-                if oc is not None and oc != c:
-                    union(c, oc)
-                osl = ((occ & bank_mask) * l2_nsets
-                       + ((occ >> bank_bits) % l2_nsets))
-                ol = slot_core.get(osl)
-                if ol is not None and ol != c:
-                    union(c, ol)
-        if merged():
-            return None
-
-        reps = np.asarray([find(c) for c in range(ncores)], dtype=np.int64)
-        g = reps[kc]
-        order = np.argsort(g, kind="stable")
-        gs = g[order]
-        cuts = np.flatnonzero(np.concatenate(([True], gs[1:] != gs[:-1])))
-        return np.split(order, cuts[1:])
+        if self._flat is not None:
+            out = self._flat.export()
+        else:
+            pref = self.prefetcher
+            out = {
+                "l1": [[list(s.items()) for s in c._sets] for c in self.l1s],
+                "l2": [[list(s.items()) for s in b._sets]
+                       for b in self.l2_banks],
+                "directory": {
+                    line: tuple(entry)
+                    for line, entry in self.directory._lines.items()
+                },
+                "prefetch_heads": [list(h) for h in pref._heads],
+                "prefetch_next": list(pref._next),
+            }
+        out["dram_open_rows"] = list(self.dram._open_rows)
+        return out

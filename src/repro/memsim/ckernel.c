@@ -1,0 +1,376 @@
+/*
+ * Compiled cache path of repro.memsim.cachestate.CacheSystem.
+ *
+ * replay_batch() replays cache-routed events over flat state the
+ * Python side owns (repro.memsim.ckernel.FlatCacheState; the layout
+ * is described in docs/architecture.md). Per event it applies the
+ * scalar oracle's (CacheSystem.access) latency additions, counter
+ * increments, CacheRecord writes and per-core latency sums, in the
+ * oracle's order. Built with -ffp-contract=off and without
+ * -ffast-math, so the float sums are the oracle's, bit for bit. No
+ * global mutable state: calls on distinct states may run concurrently
+ * (ctypes releases the GIL around each call).
+ */
+#include <stdint.h>
+
+/* Counter slots: these scalars, then per-core blocks of ncores. */
+enum {
+    K_L2_HITS,      /* demand L2 hits */
+    K_L2_MISSES,    /* demand L2 misses (= DRAM line reads) */
+    K_PREFETCH,     /* stream-prefetched L1 misses */
+    K_LINE_PKTS,    /* line-sized interconnect packets */
+    K_INVALS,       /* coherence invalidation messages */
+    K_DIR_WB,       /* directory-forced writebacks */
+    K_DRAM_WRITES,  /* dirty L2 victims written to DRAM */
+    K_ROW_HITS,
+    K_ROW_MISSES,
+    K_ATOMICS,      /* core-executed atomics */
+    K_SCALARS
+};
+enum {
+    P_L1_HITS, P_L1_MISSES, P_L1_EVICT, P_L1_DIRTY_EVICT,
+    P_L2_HITS, P_L2_MISSES, P_L2_EVICT, P_L2_DIRTY_EVICT
+};
+#define PER_CORE(s, block, c) \
+    ((s)->counters[K_SCALARS + (block) * (s)->ncores + (c)])
+
+typedef struct {
+    int64_t ncores, l1_sets, l1_ways, l2_sets, l2_ways;
+    int64_t line_bits, bank_mask, bank_bits;
+    int64_t l1_lat, l2_lat, remote_lat, wb_lat, dram_lat;
+    int64_t track_rows, channels, row_bytes, row_hit, row_miss;
+    int64_t num_heads, nranges;
+    int64_t clock, dir_cap, dir_count;
+    double atomic_ser, atomic_stall;
+    int64_t *l1_tag, *l1_stamp, *l2_tag, *l2_stamp;  /* [sets][ways] */
+    uint8_t *l1_dirty, *l2_dirty;
+    int64_t *dir_key;      /* open addressing, -1 = empty slot */
+    uint64_t *dir_mask;    /* sharer bit per core */
+    int32_t *dir_owner;    /* modified holder, -1 = none */
+    int64_t *heads, *next_head;
+    int64_t *open_rows;
+    const int64_t *ranges;    /* nranges (lo, hi) pairs */
+    const int64_t *bank_lat;  /* [core * ncores + bank] */
+    int64_t *counters;
+} kstate;
+
+static inline int64_t floor_mod(int64_t a, int64_t m)
+{
+    if ((m & (m - 1)) == 0)
+        return a & (m - 1);
+    int64_t r = a % m;
+    return r < 0 ? r + m : r;
+}
+
+static inline uint64_t dir_home(int64_t key, int64_t cap)
+{
+    uint64_t h = (uint64_t)key * 0x9E3779B97F4A7C15ULL;
+    return (h ^ (h >> 32)) & (uint64_t)(cap - 1);
+}
+
+/* Slot holding `line`, or the empty slot where it would go (linear
+   probing; the caller keeps the table at most half full). */
+static inline uint64_t dir_slot(const kstate *s, int64_t line)
+{
+    uint64_t i = dir_home(line, s->dir_cap);
+    while (s->dir_key[i] != line && s->dir_key[i] != -1)
+        i = (i + 1) & (uint64_t)(s->dir_cap - 1);
+    return i;
+}
+
+/* Backward-shift deletion: no tombstones, probe chains stay intact. */
+static void dir_delete(kstate *s, uint64_t i)
+{
+    uint64_t m = (uint64_t)(s->dir_cap - 1), j = i;
+    for (;;) {
+        j = (j + 1) & m;
+        if (s->dir_key[j] == -1)
+            break;
+        uint64_t k = dir_home(s->dir_key[j], s->dir_cap);
+        if ((i <= j) ? (i < k && k <= j) : (i < k || k <= j))
+            continue;  /* entry j's home lies in (i, j]: it stays */
+        s->dir_key[i] = s->dir_key[j];
+        s->dir_mask[i] = s->dir_mask[j];
+        s->dir_owner[i] = s->dir_owner[j];
+        i = j;
+    }
+    s->dir_key[i] = -1;
+    s->dir_count--;
+}
+
+/* Probe one set: returns the hit way or -1, and sets *fill to the
+   first empty way, else the least recently used one. */
+static inline int64_t set_lookup(const int64_t *tag, const int64_t *stamp,
+                                 int64_t ways, int64_t key, int64_t *fill)
+{
+    for (int64_t w = 0; w < ways; w++)
+        if (tag[w] == key)
+            return w;
+    int64_t lru = -1;
+    for (int64_t w = 0; w < ways; w++) {
+        if (tag[w] == -1) {
+            *fill = w;
+            return -1;
+        }
+        if (lru < 0 || stamp[w] < stamp[lru])
+            lru = w;
+    }
+    *fill = lru;
+    return -1;
+}
+
+/* Open/hybrid row-buffer machine; returns 1 on a row hit. */
+static inline int row_access(kstate *s, int64_t addr)
+{
+    int64_t ch = floor_mod(addr / 64, s->channels);
+    int64_t row = addr / s->row_bytes;
+    if (s->open_rows[ch] == row) {
+        s->counters[K_ROW_HITS]++;
+        return 1;
+    }
+    s->counters[K_ROW_MISSES]++;
+    s->open_rows[ch] = row;
+    return 0;
+}
+
+static inline int in_random_range(const kstate *s, int64_t addr)
+{
+    for (int64_t r = 0; r < s->nranges; r++)
+        if (s->ranges[2 * r] <= addr && addr < s->ranges[2 * r + 1])
+            return 1;
+    return 0;
+}
+
+/* Posted DRAM write of a dirty L2 victim: row state only, no latency. */
+static inline void dram_writeback(kstate *s, int64_t key, int64_t bank,
+                                  int64_t *record)
+{
+    s->counters[K_DRAM_WRITES]++;
+    if (record)
+        (*record)++;
+    int64_t addr = ((key << s->bank_bits) | bank) << s->line_bits;
+    if (s->track_rows && !in_random_range(s, addr))
+        row_access(s, addr);
+}
+
+/* L2 access of (bank, key); returns 1 on a hit, and a dirty victim's
+   key through *victim (-1 if none). */
+static inline int l2_access(kstate *s, int64_t bank, int64_t key,
+                            int write, int64_t *victim)
+{
+    int64_t base = (bank * s->l2_sets + floor_mod(key, s->l2_sets))
+                   * s->l2_ways;
+    int64_t *tag = s->l2_tag + base, *stamp = s->l2_stamp + base;
+    uint8_t *dirty = s->l2_dirty + base;
+    int64_t fill, w = set_lookup(tag, stamp, s->l2_ways, key, &fill);
+    *victim = -1;
+    if (w >= 0) {
+        PER_CORE(s, P_L2_HITS, bank)++;
+        stamp[w] = s->clock++;
+        dirty[w] |= (uint8_t)write;
+        return 1;
+    }
+    PER_CORE(s, P_L2_MISSES, bank)++;
+    if (tag[fill] != -1) {
+        PER_CORE(s, P_L2_EVICT, bank)++;
+        if (dirty[fill]) {
+            PER_CORE(s, P_L2_DIRTY_EVICT, bank)++;
+            *victim = tag[fill];
+        }
+    }
+    tag[fill] = key;
+    dirty[fill] = (uint8_t)write;
+    stamp[fill] = s->clock++;
+    return 0;
+}
+
+/* Directory.on_write / on_read for `core`: adds the invalidation round
+   trip, then the modified owner's writeback transfer, to *latency. */
+static inline void dir_access(kstate *s, int64_t line, int64_t core,
+                              int write, double *latency)
+{
+    uint64_t i = dir_slot(s, line), me = 1ULL << core;
+    if (s->dir_key[i] == -1) {
+        s->dir_key[i] = line;
+        s->dir_mask[i] = me;
+        s->dir_owner[i] = write ? (int32_t)core : -1;
+        s->dir_count++;
+        return;
+    }
+    int32_t owner = s->dir_owner[i];
+    int wb = owner >= 0 && owner != core;
+    uint64_t others = write ? s->dir_mask[i] & ~me : 0;
+    if (wb)
+        s->counters[K_DIR_WB]++;
+    if (write) {
+        s->dir_mask[i] = me;
+        s->dir_owner[i] = (int32_t)core;
+    } else {
+        s->dir_mask[i] |= me;
+        if (wb)
+            s->dir_owner[i] = -1;  /* M -> S */
+    }
+    if (others) {
+        int64_t lset = floor_mod(line, s->l1_sets);
+        for (uint64_t m = others; m; m &= m - 1) {
+            int64_t base = (__builtin_ctzll(m) * s->l1_sets + lset)
+                           * s->l1_ways;
+            for (int64_t w = 0; w < s->l1_ways; w++) {
+                if (s->l1_tag[base + w] == line) {
+                    s->l1_tag[base + w] = -1;
+                    break;
+                }
+            }
+            s->counters[K_INVALS]++;
+        }
+        *latency += (double)s->remote_lat;
+    }
+    if (wb) {
+        s->counters[K_LINE_PKTS]++;
+        *latency += (double)s->wb_lat;
+    }
+}
+
+/* Directory.on_eviction: `core` dropped a dirty `line` from its L1. */
+static inline void dir_evict(kstate *s, int64_t line, int64_t core)
+{
+    uint64_t i = dir_slot(s, line);
+    if (s->dir_key[i] == -1)
+        return;
+    s->dir_mask[i] &= ~(1ULL << core);
+    if (s->dir_owner[i] == core)
+        s->dir_owner[i] = -1;
+    if (s->dir_mask[i] == 0)
+        dir_delete(s, i);
+}
+
+/* StreamDetector.observe: the lowest head with head + 1 == line
+   advances (a prefetch hit); else a round-robin head restarts. */
+static inline int prefetch_observe(kstate *s, int64_t core, int64_t line)
+{
+    int64_t *heads = s->heads + core * s->num_heads;
+    for (int64_t h = 0; h < s->num_heads; h++) {
+        if (heads[h] + 1 == line) {
+            heads[h] = line;
+            return 1;
+        }
+    }
+    int64_t h = s->next_head[core];
+    heads[h] = line;
+    s->next_head[core] = (h + 1) % s->num_heads;
+    return 0;
+}
+
+/*
+ * Replay events [start, n); returns the first event not replayed: n,
+ * or earlier once the directory is half full (the caller grows it and
+ * resumes). Record columns are all NULL or all set.
+ */
+int64_t replay_batch(kstate *s, int64_t start, int64_t n,
+                     const int64_t *cores, const int64_t *addrs,
+                     const int64_t *lines, const uint8_t *writes,
+                     const uint8_t *atomics, double *mem_lat,
+                     double *serial, uint8_t *r_l1, uint8_t *r_l2h,
+                     uint8_t *r_l2m, uint8_t *r_pref, int64_t *r_wb)
+{
+    int64_t *cnt = s->counters;
+    int64_t i;
+    for (i = start; i < n && 2 * (s->dir_count + 1) <= s->dir_cap; i++) {
+        int64_t core = cores[i], line = lines[i];
+        int64_t bank = line & s->bank_mask;  /* home L2 bank */
+        int write = writes[i] != 0;
+        int64_t base = (core * s->l1_sets + floor_mod(line, s->l1_sets))
+                       * s->l1_ways;
+        int64_t *tag = s->l1_tag + base, *stamp = s->l1_stamp + base;
+        uint8_t *dirty = s->l1_dirty + base;
+        int64_t *wb_record = r_wb ? r_wb + i : 0;
+        int64_t fill, victim = -1, victim2;
+        double latency = (double)s->l1_lat;
+
+        int64_t w = set_lookup(tag, stamp, s->l1_ways, line, &fill);
+        if (w >= 0) {
+            PER_CORE(s, P_L1_HITS, core)++;
+            stamp[w] = s->clock++;
+            if (write) {
+                dirty[w] = 1;
+                dir_access(s, line, core, 1, &latency);
+            }
+            goto fold;
+        }
+
+        PER_CORE(s, P_L1_MISSES, core)++;
+        if (r_l1)
+            r_l1[i] = 0;
+        if (tag[fill] != -1) {
+            PER_CORE(s, P_L1_EVICT, core)++;
+            if (dirty[fill]) {
+                PER_CORE(s, P_L1_DIRTY_EVICT, core)++;
+                victim = tag[fill];
+            }
+        }
+        tag[fill] = line;
+        dirty[fill] = (uint8_t)write;
+        stamp[fill] = s->clock++;
+        dir_access(s, line, core, write, &latency);
+        if (victim >= 0) {  /* the dirty L1 victim goes to its L2 bank */
+            int64_t vbank = victim & s->bank_mask;
+            if (vbank != core)
+                cnt[K_LINE_PKTS]++;
+            l2_access(s, vbank, victim >> s->bank_bits, 1, &victim2);
+            if (victim2 >= 0)
+                dram_writeback(s, victim2, vbank, wb_record);
+            dir_evict(s, victim, core);
+        }
+
+        if (bank != core) {
+            latency += (double)s->bank_lat[core * s->ncores + bank];
+            cnt[K_LINE_PKTS]++;
+        }
+        latency += (double)s->l2_lat;
+        if (l2_access(s, bank, line >> s->bank_bits, write, &victim2)) {
+            cnt[K_L2_HITS]++;
+            if (r_l2h)
+                r_l2h[i] = 1;
+        } else {
+            cnt[K_L2_MISSES]++;
+            if (r_l2m)
+                r_l2m[i] = 1;
+            if (s->track_rows && !in_random_range(s, addrs[i]))
+                latency += (double)(row_access(s, addrs[i]) ? s->row_hit
+                                                            : s->row_miss);
+            else
+                latency += (double)s->dram_lat;
+            if (victim2 >= 0)
+                dram_writeback(s, victim2, bank, wb_record);
+        }
+        if (prefetch_observe(s, core, line)) {
+            cnt[K_PREFETCH]++;
+            if (r_pref)
+                r_pref[i] = 1;
+            latency = (double)(s->l1_lat + 1);
+        }
+    fold:
+        if (atomics[i]) {
+            cnt[K_ATOMICS]++;
+            serial[core] += latency * s->atomic_ser + s->atomic_stall;
+            mem_lat[core] += latency * (1.0 - s->atomic_ser);
+        } else {
+            mem_lat[core] += latency;
+        }
+    }
+    return i;
+}
+
+/* Move every live entry of the old directory table into the new one. */
+void dir_rehash(kstate *s, const int64_t *old_key, const uint64_t *old_mask,
+                const int32_t *old_owner, int64_t old_cap)
+{
+    for (int64_t j = 0; j < old_cap; j++) {
+        if (old_key[j] == -1)
+            continue;
+        uint64_t i = dir_slot(s, old_key[j]);
+        s->dir_key[i] = old_key[j];
+        s->dir_mask[i] = old_mask[j];
+        s->dir_owner[i] = old_owner[j];
+    }
+}

@@ -1,0 +1,325 @@
+"""The compiled cache kernel: build cache, loader and flat state.
+
+``ckernel.c`` (beside this module) replays a batch of cache-routed
+events over flat cache state in one C call. The host C compiler builds
+it with :data:`CFLAGS` at the first kernel replay — never at import —
+and the library is cached as ``ckernel-<digest>.so``, the digest
+covering the source, the compiler's version line and the flags. It is
+written to a temporary file and moved into place with
+:func:`os.replace`, so concurrent processes never load a half-written
+file. :func:`load_kernel` returns ``None``, after one logged warning,
+when no compiler is found or the build fails; replay then falls back
+to the scalar oracle.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional
+
+import numpy as np
+
+from repro.config import SimConfig
+from repro.errors import SimulationError
+from repro.memsim.interconnect import Crossbar
+
+__all__ = ["CFLAGS", "FlatCacheState", "find_compiler", "load_kernel"]
+
+_LOG = logging.getLogger("repro.memsim.ckernel")
+
+SOURCE = Path(__file__).with_name("ckernel.c")
+
+#: ``-ffp-contract=off`` forbids fused multiply-adds, and there is
+#: deliberately no ``-ffast-math``: latencies must sum exactly as the
+#: oracle's Python floats do.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: The kernel's counter array: these scalars (the ``K_*`` enum in
+#: ``ckernel.c``), then one ``ncores`` block per :data:`PER_CORE` name.
+COUNTERS = (
+    "demand_l2_hits", "demand_l2_misses", "prefetch", "line_packets",
+    "invalidations", "dir_writebacks", "dram_writes", "row_hits",
+    "row_misses", "atomics",
+)
+PER_CORE = (
+    "l1_hits", "l1_misses", "l1_evictions", "l1_dirty_evictions",
+    "l2_hits", "l2_misses", "l2_evictions", "l2_dirty_evictions",
+)
+
+_I64 = ctypes.c_int64
+_PTR = ctypes.c_void_p
+
+
+class _KState(ctypes.Structure):
+    """Mirror of ``kstate`` in ``ckernel.c`` (field order matters)."""
+
+    _fields_ = [(name, _I64) for name in (
+        "ncores", "l1_sets", "l1_ways", "l2_sets", "l2_ways",
+        "line_bits", "bank_mask", "bank_bits",
+        "l1_lat", "l2_lat", "remote_lat", "wb_lat", "dram_lat",
+        "track_rows", "channels", "row_bytes", "row_hit", "row_miss",
+        "num_heads", "nranges", "clock", "dir_cap", "dir_count",
+    )] + [("atomic_ser", ctypes.c_double), ("atomic_stall", ctypes.c_double),
+          ] + [(name, _PTR) for name in (
+        "l1_tag", "l1_stamp", "l2_tag", "l2_stamp", "l1_dirty", "l2_dirty",
+        "dir_key", "dir_mask", "dir_owner", "heads", "next_head",
+        "open_rows", "ranges", "bank_lat", "counters",
+    )]
+
+
+def find_compiler() -> Optional[str]:
+    """Path of the host C compiler, or ``None`` when there is none."""
+    return shutil.which("gcc") or shutil.which("cc")
+
+
+def _cache_dirs() -> Iterator[Path]:
+    """The package's ``__pycache__``, else a per-user temp directory."""
+    yield SOURCE.parent / "__pycache__"
+    uid = getattr(os, "getuid", lambda: 0)()
+    yield Path(tempfile.gettempdir()) / f"repro-ckernel-{uid}"
+
+
+def _build(cc: str) -> Path:
+    """The cached library for this source/compiler/flags, built if new."""
+    version = subprocess.run(
+        [cc, "--version"], capture_output=True, text=True, check=True,
+    ).stdout.partition("\n")[0]
+    digest = hashlib.blake2b(digest_size=8)
+    for part in (SOURCE.read_bytes(), version.encode(),
+                 " ".join(CFLAGS).encode()):
+        digest.update(part + b"\0")
+    failure = OSError("no writable directory for the kernel library")
+    for d in _cache_dirs():
+        lib = d / f"ckernel-{digest.hexdigest()}.so"
+        if lib.is_file():
+            return lib
+        try:
+            d.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=d, prefix=".ckernel-",
+                                       suffix=".so")
+        except OSError as exc:
+            failure = exc
+            continue
+        os.close(fd)
+        try:
+            subprocess.run([cc, *CFLAGS, "-o", tmp, str(SOURCE)],
+                           capture_output=True, text=True, check=True)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return lib
+    raise failure
+
+
+@functools.lru_cache(maxsize=None)
+def load_kernel() -> Optional[ctypes.CDLL]:
+    """The loaded kernel library, or ``None`` (warned once) if unusable."""
+    cc = find_compiler()
+    if cc is None:
+        reason = "no C compiler (gcc or cc) on PATH"
+    else:
+        try:
+            lib = ctypes.CDLL(str(_build(cc)))
+        except subprocess.CalledProcessError as exc:
+            reason = f"{cc} failed: {(exc.stderr or '').strip()[:500]}"
+        except (OSError, subprocess.SubprocessError) as exc:
+            reason = f"build/load failed: {exc}"
+        else:
+            lib.replay_batch.restype = _I64
+            lib.replay_batch.argtypes = (
+                [ctypes.POINTER(_KState), _I64, _I64] + [_PTR] * 12
+            )
+            lib.dir_rehash.restype = None
+            lib.dir_rehash.argtypes = (
+                [ctypes.POINTER(_KState)] + [_PTR] * 3 + [_I64]
+            )
+            return lib
+    _LOG.warning(
+        "compiled cache kernel unavailable (%s); replaying through the"
+        " scalar oracle, which is much slower", reason,
+    )
+    return None
+
+
+def _ptr(a: np.ndarray) -> int:
+    return a.ctypes.data
+
+
+class FlatCacheState:
+    """Kernel-mode cache state: flat arrays plus the ``kstate`` view.
+
+    Everything but the DRAM row registers lives here for the system's
+    lifetime; those are copied in and out per batch, because the
+    backends' off-chip paths share the DRAM model.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, config: SimConfig,
+                 crossbar: Crossbar, num_heads: int) -> None:
+        self._lib = lib
+        ncores = self.ncores = config.core.num_cores
+        l1, l2, dram = config.l1, config.l2_per_core, config.dram
+        self.l1_tag = np.full((ncores * l1.num_sets, l1.ways), -1, np.int64)
+        self.l1_stamp = np.zeros_like(self.l1_tag)
+        self.l1_dirty = np.zeros(self.l1_tag.shape, np.uint8)
+        self.l2_tag = np.full((ncores * l2.num_sets, l2.ways), -1, np.int64)
+        self.l2_stamp = np.zeros_like(self.l2_tag)
+        self.l2_dirty = np.zeros(self.l2_tag.shape, np.uint8)
+        self.heads = np.full((ncores, num_heads), -2, np.int64)
+        self.next_head = np.zeros(ncores, np.int64)
+        self.open_rows = np.full(dram.channels, -1, np.int64)
+        self.ranges = np.zeros(0, np.int64)
+        # Interconnect latencies are per-(core, bank) constants under
+        # both topologies; the miss path indexes this table.
+        self.bank_lat = np.array(
+            [[crossbar.transfer_latency(c, b) for b in range(ncores)]
+             for c in range(ncores)], dtype=np.int64,
+        )
+        self.counters = np.zeros(len(COUNTERS) + len(PER_CORE) * ncores,
+                                 np.int64)
+        ks = self.ks = _KState(
+            ncores=ncores, l1_sets=l1.num_sets, l1_ways=l1.ways,
+            l2_sets=l2.num_sets, l2_ways=l2.ways,
+            line_bits=l1.line_bytes.bit_length() - 1,
+            bank_mask=ncores - 1, bank_bits=ncores.bit_length() - 1,
+            l1_lat=l1.latency_cycles, l2_lat=l2.latency_cycles,
+            # Invalidation acks cost one crossbar round trip under
+            # every topology (as in CacheSystem._invalidate).
+            remote_lat=config.interconnect.remote_latency_cycles,
+            wb_lat=crossbar.transfer_latency(),
+            dram_lat=dram.latency_cycles,
+            track_rows=int(dram.page_policy != "closed"),
+            channels=dram.channels, row_bytes=dram.row_bytes,
+            row_hit=dram.row_hit_cycles, row_miss=dram.row_miss_cycles,
+            num_heads=num_heads,
+            atomic_ser=config.core.atomic_serialization,
+            atomic_stall=config.core.atomic_stall_cycles,
+        )
+        for name in ("l1_tag", "l1_stamp", "l2_tag", "l2_stamp",
+                     "l1_dirty", "l2_dirty", "heads", "next_head",
+                     "open_rows", "bank_lat", "counters"):
+            setattr(ks, name, _ptr(getattr(self, name)))
+        self._set_directory(np.full(64, -1, np.int64))
+
+    def _set_directory(self, keys: np.ndarray) -> None:
+        self.dir_key = keys
+        self.dir_mask = np.zeros(len(keys), np.uint64)
+        self.dir_owner = np.full(len(keys), -1, np.int32)
+        ks = self.ks
+        ks.dir_cap = len(keys)
+        ks.dir_key = _ptr(keys)
+        ks.dir_mask = _ptr(self.dir_mask)
+        ks.dir_owner = _ptr(self.dir_owner)
+
+    def _grow_directory(self) -> None:
+        """Double the directory table, rehashing its live entries."""
+        old = (self.dir_key, self.dir_mask, self.dir_owner)
+        self._set_directory(np.full(2 * len(old[0]), -1, np.int64))
+        self._lib.dir_rehash(
+            ctypes.byref(self.ks), *(_ptr(a) for a in old), len(old[0])
+        )
+
+    def replay(self, cores: np.ndarray, addrs: np.ndarray,
+               lines: np.ndarray, writes: np.ndarray, atomics: np.ndarray,
+               mem_lat: List[float], serial: List[float],
+               open_rows: List[int], ranges, record=None) -> Dict:
+        """Replay one batch and return its counters by name.
+
+        Scalar counters map to ints, :data:`PER_CORE` ones to per-core
+        lists. Per-event latencies fold into ``mem_lat``/``serial``
+        (per-core sums) and the DRAM ``open_rows`` registers update,
+        both in place; ``ranges`` are the hybrid policy's random ranges
+        (empty for the other policies). The kernel stops early when the
+        directory table is half full; it is grown here, between calls,
+        and the batch resumes where it stopped.
+        """
+        # Everything below becomes a raw pointer: fix dtypes and
+        # contiguity, and check the lengths and ids the kernel indexes
+        # with, here.
+        cores, addrs, lines = (np.ascontiguousarray(a, dtype=np.int64)
+                               for a in (cores, addrs, lines))
+        writes, atomics = (np.ascontiguousarray(a, dtype=bool)
+                           for a in (writes, atomics))
+        n = len(cores)
+        ncores = self.ncores
+        if any(len(a) != n for a in (addrs, lines, writes, atomics)):
+            raise SimulationError("cache batch columns differ in length")
+        if n and not 0 <= int(cores.min()) <= int(cores.max()) < ncores:
+            raise SimulationError(
+                f"cache batch names a core outside 0..{ncores - 1}"
+            )
+        # Tag -1 marks an empty way, so line ids must be non-negative.
+        if n and int(lines.min()) < 0:
+            raise SimulationError("cache batch has a negative line id")
+        if len(mem_lat) != ncores or len(serial) != ncores:
+            raise SimulationError("latency sums must have one slot per core")
+        rec: List[Optional[int]] = [None] * 5
+        if record is not None:
+            cols = (record.l1_hit, record.l2_hit, record.l2_miss,
+                    record.prefetch, record.writebacks)
+            if any(len(c) != n or not c.flags.c_contiguous for c in cols):
+                raise SimulationError("CacheRecord does not match the batch")
+            rec = [_ptr(c) for c in cols]
+        mem = np.asarray(mem_lat, dtype=np.float64)
+        ser = np.asarray(serial, dtype=np.float64)
+        self.open_rows[:] = open_rows
+        self.ranges = np.asarray(ranges, dtype=np.int64).reshape(-1)
+        ks = self.ks
+        ks.ranges = _ptr(self.ranges)
+        ks.nranges = len(self.ranges) // 2
+        self.counters[:] = 0
+        args = [_ptr(a) for a in (cores, addrs, lines, writes, atomics, mem,
+                                  ser)] + rec
+        done = 0
+        while True:
+            done = self._lib.replay_batch(ctypes.byref(ks), done, n, *args)
+            if done == n:
+                break
+            self._grow_directory()
+        mem_lat[:] = mem.tolist()
+        serial[:] = ser.tolist()
+        open_rows[:] = self.open_rows.tolist()
+        c = self.counters.tolist()
+        counts: Dict = dict(zip(COUNTERS, c))
+        base = len(COUNTERS)
+        for i, name in enumerate(PER_CORE):
+            counts[name] = c[base + i * ncores: base + (i + 1) * ncores]
+        return counts
+
+    @staticmethod
+    def _sets(tag: np.ndarray, stamp: np.ndarray, dirty: np.ndarray,
+              ncores: int) -> list:
+        order = np.argsort(stamp, axis=1, kind="stable")
+        tag = np.take_along_axis(tag, order, 1).tolist()
+        dirty = np.take_along_axis(dirty, order, 1).tolist()
+        sets = [
+            [(t, bool(d)) for t, d in zip(ts, ds) if t != -1]
+            for ts, ds in zip(tag, dirty)
+        ]
+        per = len(sets) // ncores
+        return [sets[c * per:(c + 1) * per] for c in range(ncores)]
+
+    def export(self) -> dict:
+        """Cache, directory and prefetcher state in the oracle's shape."""
+        live = self.dir_key != -1
+        return {
+            "l1": self._sets(self.l1_tag, self.l1_stamp, self.l1_dirty,
+                             self.ncores),
+            "l2": self._sets(self.l2_tag, self.l2_stamp, self.l2_dirty,
+                             self.ncores),
+            "directory": dict(zip(
+                self.dir_key[live].tolist(),
+                zip(self.dir_mask[live].tolist(),
+                    self.dir_owner[live].tolist()),
+            )),
+            "prefetch_heads": self.heads.tolist(),
+            "prefetch_next": self.next_head.tolist(),
+        }

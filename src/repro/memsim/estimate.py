@@ -43,7 +43,7 @@ import numpy as np
 from repro.config import SimConfig
 from repro.ligra.trace import Trace
 from repro.memsim.accounting import LatencyLedger, ReplayContext
-from repro.memsim.cachestate import CacheSystem, _slot_argsort
+from repro.memsim.cachestate import CacheSystem
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.prepass import precompute
@@ -59,6 +59,18 @@ from repro.memsim.routes import (
 from repro.memsim.stats import MemStats
 
 __all__ = ["ReplayEstimate", "estimate_replay", "predict_slot_hits"]
+
+
+def _slot_argsort(slot: np.ndarray) -> np.ndarray:
+    """Stable argsort of the small-range slot keys.
+
+    Slot ids are bounded by ncores * num_sets, so they almost always
+    fit int16 — where numpy's stable sort is a radix sort, several
+    times faster than the int64 comparison sort.
+    """
+    if len(slot) and int(slot.max()) < 32768:
+        return np.argsort(slot.astype(np.int16), kind="stable")
+    return np.argsort(slot, kind="stable")
 
 
 @dataclass

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -70,11 +70,15 @@ class ReplayOutput:
     #: (:class:`repro.obs.attribution.AttributionAccumulator`), when
     #: attribution was requested.
     attribution: Optional[object] = None
-    #: Kernel screening telemetry: the cache system's accumulated
+    #: Kernel telemetry: the cache system's accumulated
     #: :class:`~repro.memsim.cachestate.KernelTelemetry` counters plus
     #: an execution ``mode`` tag ("kernel" or "scalar"). Present for
     #: every replay; all-zero counters under the scalar oracle.
     kernel: Optional[dict] = None
+    #: The cache system the replay ran on; its
+    #: :meth:`~repro.memsim.cachestate.CacheSystem.state` is the final
+    #: cache, directory, prefetcher and DRAM state.
+    cache: Optional[CacheSystem] = field(default=None, repr=False)
 
 
 class _InCoreSource:
@@ -250,8 +254,6 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
                                 seg.core[cache_idx],
                                 seg.addr[cache_idx],
                                 prepass.lines[cache_idx],
-                                prepass.banks[cache_idx],
-                                prepass.bank_keys[cache_idx],
                                 prepass.write[cache_idx],
                                 prepass.atomic[cache_idx],
                                 ledger.mem["cache"],
@@ -286,12 +288,8 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
         )
         if tracer.enabled:
             tracer.counter(
-                "kernel.screening",
-                {
-                    "screened": kt.screened,
-                    "grouped": kt.grouped_events,
-                    "serialized": kt.serialized_events,
-                },
+                "kernel.events",
+                {"batches": kt.batches, "events": kt.events},
             )
         ledger.flush(stats)
         stats.core_accesses = [int(x) for x in counts]
@@ -318,6 +316,7 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
             num_segments=max(num_segments, 1),
             attribution=attribution,
             kernel=kernel_block,
+            cache=system,
         )
 
 
@@ -371,8 +370,6 @@ def _run_windowed_segment(
                     seg.core[sub],
                     seg.addr[sub],
                     prepass.lines[sub],
-                    prepass.banks[sub],
-                    prepass.bank_keys[sub],
                     prepass.write[sub],
                     prepass.atomic[sub],
                     ctx.ledger.mem["cache"],

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -52,6 +53,25 @@ FAILED = "failed"
 
 class QueueFullError(SimulationError):
     """Raised by :meth:`JobManager.submit` when the queue is at depth."""
+
+
+def _number(doc: Mapping[str, Any], name: str, default: float,
+            integral: bool) -> float:
+    """``doc[name]`` as a number, or a :class:`SimulationError` naming
+    the field (booleans and non-integral values for integer fields are
+    rejected rather than coerced)."""
+    value = doc.get(name, default)
+    number: Optional[float] = None
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+    if number is None:
+        raise SimulationError(f"{name} must be a number, got {value!r}")
+    if integral and not number.is_integer():
+        raise SimulationError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -88,15 +108,56 @@ class JobSpec:
         kwargs = doc.get("alg_kwargs") or {}
         if not isinstance(kwargs, Mapping):
             raise SimulationError("alg_kwargs must be an object")
-        return cls(
+        spec = cls(
             dataset=str(doc["dataset"]),
             algorithm=str(doc["algorithm"]),
             backend=str(doc.get("backend", "omega")),
-            scale=float(doc.get("scale", 1.0)),
-            num_cores=int(doc.get("num_cores", 16)),
-            chunk_size=int(doc.get("chunk_size", 32)),
+            scale=_number(doc, "scale", 1.0, integral=False),
+            num_cores=int(_number(doc, "num_cores", 16, integral=True)),
+            chunk_size=int(_number(doc, "chunk_size", 32, integral=True)),
             alg_kwargs=dict(kwargs),
         )
+        spec.validate()
+        return spec
+
+    def validate(self) -> None:
+        """Reject a spec the replay could not run, naming the field.
+
+        Checked where requests enter, so a bad spec is a 400 and never
+        a failed job: known dataset/algorithm/backend names, a finite
+        positive ``scale``, a power-of-two ``num_cores`` in
+        1..:data:`~repro.config.MAX_CORES` (one bank per core, and the
+        coherence directory's sharer mask is one 64-bit word), and
+        ``chunk_size >= 1``.
+        """
+        from repro.algorithms.registry import ALGORITHMS
+        from repro.config import MAX_CORES
+        from repro.graph.datasets import DATASETS
+        from repro.memsim.engine import backend_names
+
+        for name, value, known in (
+            ("dataset", self.dataset, sorted(DATASETS)),
+            ("algorithm", self.algorithm, sorted(ALGORITHMS)),
+            ("backend", self.backend, backend_names()),
+        ):
+            if value not in known:
+                raise SimulationError(
+                    f"unknown {name} {value!r}; available: {', '.join(known)}"
+                )
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise SimulationError(
+                f"scale must be a finite number > 0, got {self.scale!r}"
+            )
+        cores = self.num_cores
+        if not 0 < cores <= MAX_CORES or cores & (cores - 1):
+            raise SimulationError(
+                f"num_cores must be a power of two in 1..{MAX_CORES},"
+                f" got {cores!r}"
+            )
+        if self.chunk_size < 1:
+            raise SimulationError(
+                f"chunk_size must be >= 1, got {self.chunk_size!r}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {

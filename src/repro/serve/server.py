@@ -53,6 +53,18 @@ _LOG = logging.getLogger("repro.serve")
 #: Default cap on how long a ``"wait": true`` request may block.
 WAIT_TIMEOUT_SECONDS = 600.0
 
+#: Largest request body accepted (a job spec is a few hundred bytes).
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BadRequest(SimulationError):
+    """A request whose framing is broken: answered with ``status``,
+    then the connection is closed."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
 
 class _ProgressTracer(SpanTracer):
     """A span tracer that also streams closed-span names to a callback.
@@ -121,22 +133,50 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ReproServer"  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
+    #: A handler instance serves one connection on that connection's
+    #: own thread, so only that thread writes its attributes.
+    _RAC_SINGLE_WRITER = ("close_connection",)
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, fmt: str, *args: Any) -> None:
         _LOG.debug("%s %s", self.address_string(), fmt % args)
 
     def _reply(self, status: int, doc: Dict[str, Any]) -> None:
+        """Send one JSON response, headers and body in a single write.
+
+        A body written separately behind the headers stalls keep-alive
+        clients on Nagle's algorithm plus delayed ACKs (~40 ms a reply).
+        """
         blob = json.dumps(doc, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        self.wfile.write(blob)
+        self.log_request(status)
+        head = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(blob)}",
+        ]
+        if self.close_connection:
+            head.append("Connection: close")
+        self.wfile.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+                         + blob)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        raw = self.headers.get("Content-Length")
+        try:
+            length = int(raw) if raw is not None else 0
+        except ValueError:
+            raise _BadRequest(
+                f"Content-Length must be an integer, got {raw!r}"
+            ) from None
+        if length < 0:
+            raise _BadRequest(f"Content-Length must be >= 0, got {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BadRequest(
+                f"request body of {length} bytes exceeds the"
+                f" {MAX_BODY_BYTES}-byte limit", status=413,
+            )
+        if length == 0:
             raise SimulationError("request body required")
         try:
             doc = json.loads(self.rfile.read(length))
@@ -173,6 +213,11 @@ class _Handler(BaseHTTPRequestHandler):
             state, job, manifest = manager.submit(spec)
         except QueueFullError as exc:
             self._reply(429, {"error": str(exc), "state": "rejected"})
+            return
+        except _BadRequest as exc:
+            # The body was not read, so the stream is out of sync.
+            self.close_connection = True
+            self._reply(exc.status, {"error": str(exc)})
             return
         except SimulationError as exc:
             self._reply(400, {"error": str(exc)})

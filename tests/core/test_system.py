@@ -25,6 +25,12 @@ def omega_cfg():
 
 
 class TestRunSystem:
+    def test_dataset_tuple_rejected_naming_graph(self, graph):
+        # load_dataset returns (graph, spec); passing the pair whole
+        # must fail at the boundary, not deep in the prepass.
+        with pytest.raises(SimulationError, match="graph"):
+            run_system((graph, None), "pagerank")
+
     def test_baseline_report_fields(self, graph, baseline_cfg):
         rep = run_system(graph, "pagerank", baseline_cfg, dataset="t")
         assert rep.system == baseline_cfg.name

@@ -1,14 +1,8 @@
-"""Unit tests for the cachestate helpers shared across the kernel."""
+"""Unit tests for the cachestate helpers."""
 
 import numpy as np
-import pytest
 
-from repro.memsim.cachestate import (
-    _line_argsort,
-    iter_set_bits,
-    screen_fixpoint,
-    screen_guaranteed_hits,
-)
+from repro.memsim.cachestate import iter_set_bits
 
 
 class TestIterSetBits:
@@ -32,221 +26,3 @@ class TestIterSetBits:
             mask = int(rng.integers(0, 1 << 20))
             expect = [i for i in range(20) if mask >> i & 1]
             assert list(iter_set_bits(mask)) == expect
-
-
-def screen(cores, lines, writes, num_sets=4):
-    return screen_guaranteed_hits(
-        np.asarray(cores, dtype=np.int64),
-        np.asarray(lines, dtype=np.int64),
-        np.asarray(writes, dtype=bool),
-        num_sets,
-    ).tolist()
-
-
-class TestScreenGuaranteedHits:
-    def test_empty_batch(self):
-        assert screen([], [], []) == []
-
-    def test_first_touch_never_screened(self):
-        assert screen([0], [10], [False]) == [False]
-
-    def test_immediate_reread_screened(self):
-        # Same core, same line, back to back: second event is a
-        # guaranteed MRU hit.
-        assert screen([0, 0], [10, 10], [False, False]) == [False, True]
-
-    def test_other_core_write_intervenes(self):
-        # Core 1 *writes* the line between core 0's two reads: the
-        # second read may have been invalidated, so it must replay.
-        assert screen(
-            [0, 1, 0], [10, 10, 10], [False, True, False]
-        ) == [False, False, False]
-
-    def test_other_core_read_is_transparent(self):
-        # Core 1 only *reads* the line in between: a read never
-        # invalidates another core's copy and a read hit never
-        # consults the directory, so core 0's second read still
-        # screens.
-        assert screen(
-            [0, 1, 0], [10, 10, 10], [False] * 3
-        ) == [False, False, True]
-
-    def test_other_core_read_does_not_unblock_writes(self):
-        # The write rule stays strict: core 1's intervening read
-        # downgrades core 0's exclusive ownership (the write would
-        # have to invalidate core 1's copy), so the second write
-        # must replay.
-        assert screen(
-            [0, 0, 1, 0], [10, 10, 10, 10], [True, True, False, True]
-        ) == [False, True, False, False]
-
-    def test_set_conflict_intervenes(self):
-        # Lines 2 and 6 share set 2 (num_sets=4): the conflicting
-        # touch could have evicted line 2, so no screen.
-        assert screen(
-            [0, 0, 0], [2, 6, 2], [False] * 3
-        ) == [False, False, False]
-
-    def test_different_set_does_not_block(self):
-        # Line 3 lives in another set; line 2 stays MRU in its own.
-        assert screen(
-            [0, 0, 0], [2, 3, 2], [False] * 3
-        ) == [False, False, True]
-
-    def test_write_after_read_not_screened(self):
-        # The write's dirty/directory transition is real work.
-        assert screen([0, 0], [10, 10], [False, True]) == [False, False]
-
-    def test_write_after_write_screened(self):
-        assert screen([0, 0], [10, 10], [True, True]) == [False, True]
-
-    def test_read_after_write_screened(self):
-        assert screen([0, 0], [10, 10], [True, False]) == [False, True]
-
-    def test_chain_of_repeats(self):
-        # Screening chains: every repeat after the first is covered.
-        assert screen(
-            [1] * 5, [7] * 5, [False] * 5
-        ) == [False, True, True, True, True]
-
-    @pytest.mark.parametrize("num_sets", [1, 2, 4, 16])
-    def test_never_screens_distinct_lines(self, num_sets):
-        out = screen([0, 0, 0], [1, 2, 3], [False] * 3, num_sets)
-        assert out == [False, False, False]
-
-    def test_all_write_chain_screens_in_one_pass(self):
-        # A same-core run of writes collapses in a single generation:
-        # every adjacent pair satisfies the write rule simultaneously
-        # (the screen evaluates against the pre-pass residual, not the
-        # shrinking one).
-        assert screen(
-            [0] * 5, [7] * 5, [True] * 5
-        ) == [False, True, True, True, True]
-
-    def test_wide_line_window_falls_back(self):
-        # Line ids spanning more than 2**16 exercise _line_argsort's
-        # int64 comparison-sort fallback; the screen must not change.
-        assert screen(
-            [0, 0, 0], [10, 10 + (1 << 20), 10], [False] * 3
-        ) == [False, False, False]
-        assert screen(
-            [0, 0], [1 << 40, 1 << 40], [False, False]
-        ) == [False, True]
-
-
-def fixpoint_reference(cores, lines, writes, num_sets):
-    """Re-derive the fixpoint by literally re-screening the compacted
-    residual with :func:`screen_guaranteed_hits`, including the same
-    1/32 diminishing-returns cutoff."""
-    cores = np.asarray(cores, dtype=np.int64)
-    lines = np.asarray(lines, dtype=np.int64)
-    writes = np.asarray(writes, dtype=bool)
-    skip = np.zeros(len(lines), dtype=bool)
-    gens = []
-    while True:
-        idx = np.flatnonzero(~skip)
-        if len(idx) < 2:
-            break
-        hit = screen_guaranteed_hits(
-            cores[idx], lines[idx], writes[idx], num_sets
-        )
-        c = int(hit.sum())
-        if c == 0:
-            break
-        skip[idx[hit]] = True
-        gens.append(c)
-        if c * 32 < len(idx):
-            break
-    return skip, gens
-
-
-class TestScreenFixpoint:
-    def fixpoint(self, cores, lines, writes, num_sets=4):
-        return screen_fixpoint(
-            np.asarray(cores, dtype=np.int64),
-            np.asarray(lines, dtype=np.int64),
-            np.asarray(writes, dtype=bool),
-            num_sets,
-        )
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_tiny_batches_return_trivial_triple(self, n):
-        skip, gens, lo = self.fixpoint([0] * n, [10] * n, [False] * n)
-        assert skip.tolist() == [False] * n
-        assert gens == []
-        assert lo.tolist() == list(range(n))
-
-    def test_returns_three_tuple_with_residual_line_order(self):
-        skip, gens, lo = self.fixpoint(
-            [0, 1, 0, 1], [9, 5, 9, 5], [False] * 4
-        )
-        # Events 2 and 3 screen in generation 1; the surviving
-        # residual [0, 1] comes back line-major (line 5 before 9).
-        assert skip.tolist() == [False, False, True, True]
-        assert gens == [2]
-        assert lo.tolist() == [1, 0]
-
-    def test_second_generation_convergence(self):
-        # Same-core W,R,W: generation 1 screens only the read (the
-        # second write's slot predecessor is the read, which fails the
-        # write rule); once the read is compacted away, the two writes
-        # become adjacent and generation 2 screens the second one.
-        skip, gens, _ = self.fixpoint(
-            [0, 0, 0], [10, 10, 10], [True, False, True]
-        )
-        assert skip.tolist() == [False, True, True]
-        assert gens == [1, 1]
-
-    def test_all_write_chain_single_generation(self):
-        skip, gens, _ = self.fixpoint([0] * 6, [7] * 6, [True] * 6)
-        assert skip.tolist() == [False] + [True] * 5
-        assert gens == [5]
-
-    def test_num_sets_one_merges_all_sets(self):
-        # With one set per core, every line conflicts: the re-touch of
-        # line 2 cannot screen. With four sets, lines 2 and 3 map to
-        # different sets and it screens — the contrast pins the slot
-        # computation.
-        skip1, _, _ = self.fixpoint(
-            [0, 0, 0], [2, 3, 2], [False] * 3, num_sets=1
-        )
-        assert skip1.tolist() == [False, False, False]
-        skip4, _, _ = self.fixpoint(
-            [0, 0, 0], [2, 3, 2], [False] * 3, num_sets=4
-        )
-        assert skip4.tolist() == [False, False, True]
-
-    @pytest.mark.parametrize("num_sets", [1, 4])
-    def test_matches_iterated_screen_on_random_batches(self, num_sets):
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            n = int(rng.integers(2, 300))
-            cores = rng.integers(0, 4, n)
-            lines = rng.integers(0, 24, n)
-            writes = rng.random(n) < 0.4
-            skip, gens, lo = self.fixpoint(cores, lines, writes, num_sets)
-            ref_skip, ref_gens = fixpoint_reference(
-                cores, lines, writes, num_sets
-            )
-            assert skip.tolist() == ref_skip.tolist()
-            assert gens == ref_gens
-            # The third element is the residual in line-major stable
-            # (line, batch-position) order.
-            surv = np.flatnonzero(~skip)
-            ref_lo = surv[np.argsort(lines[surv], kind="stable")]
-            assert lo.tolist() == ref_lo.tolist()
-
-
-class TestLineArgsort:
-    def test_matches_stable_argsort(self):
-        rng = np.random.default_rng(7)
-        # Narrow window (uint16 radix path) and wide window (int64
-        # fallback) must both reproduce numpy's stable argsort.
-        for lines in (
-            rng.integers(4_194_304, 4_194_304 + 50_000, 500),
-            rng.integers(0, 1 << 40, 500),
-            np.array([], dtype=np.int64),
-        ):
-            lines = lines.astype(np.int64)
-            expect = np.argsort(lines, kind="stable")
-            assert _line_argsort(lines).tolist() == expect.tolist()

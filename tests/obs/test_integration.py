@@ -25,8 +25,8 @@ class TestInstrumentedRun:
         names = {e["name"] for e in events}
         assert {"run_system", "trace_generation", "algorithm", "edge_map",
                 "replay"} <= names
-        # Every replay also samples the kernel-screening counter track.
-        assert any(e["ph"] == "C" and e["name"] == "kernel.screening"
+        # Every replay also samples the kernel counter track.
+        assert any(e["ph"] == "C" and e["name"] == "kernel.events"
                    for e in events)
         # The acceptance bar: at least 3 levels of span nesting
         # (counter samples carry values, not depth).

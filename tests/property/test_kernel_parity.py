@@ -1,16 +1,18 @@
-"""Exact-parity suite: batch kernel vs the scalar reference oracle.
+"""Exact-parity suite: compiled kernel vs the scalar reference oracle.
 
-The batch-vectorized cache kernel
-(:meth:`repro.memsim.cachestate.CacheSystem._replay_kernel`) must
+The compiled cache kernel
+(:meth:`repro.memsim.cachestate.CacheSystem._replay_compiled`) must
 reproduce the scalar per-event oracle (``REPRO_SCALAR_CACHE=1`` /
 ``force_scalar_cache``) *exactly* — every integer counter, every
-per-core float latency sum, and the full final cache/directory/DRAM
-state — across all five hierarchy backends, every interconnect
-topology, and every DRAM page policy. No tolerances anywhere in this
+per-core float latency sum, and the full final cache/directory/
+prefetcher/DRAM state — across all five hierarchy backends, every
+interconnect topology, every DRAM page policy, and up to the 64-core
+limit of the directory's sharer mask. No tolerances anywhere in this
 file: a single-bit divergence is a bug.
 """
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -51,52 +53,50 @@ def snapshot(out):
     """Every observable a replay produces, as one comparable dict.
 
     Includes the final *state* of the models — cache set contents with
-    LRU order and dirty bits, the directory's line map, DRAM open-row
-    registers — not just the counters, so state divergence that has
-    not yet surfaced in a counter still fails the comparison.
+    LRU order and dirty bits, the directory's line map, the stream
+    prefetcher's heads, DRAM open-row registers — through
+    :meth:`CacheSystem.state`, not just the counters, so state
+    divergence that has not yet surfaced in a counter still fails the
+    comparison.
     """
     return {
         "stats": dataclasses.asdict(out.stats),
-        "l1": [
-            (c.hits, c.misses, c.evictions, c.dirty_evictions,
-             [list(s.items()) for s in c._sets])
-            for c in out.l1s
-        ],
-        "l2": [
-            (c.hits, c.misses, c.evictions, c.dirty_evictions,
-             [list(s.items()) for s in c._sets])
-            for c in out.l2_banks
-        ],
-        "directory": (
-            out.directory.invalidations,
-            out.directory.writebacks,
-            dict(out.directory._lines),
-        ),
+        "l1": [(c.hits, c.misses, c.evictions, c.dirty_evictions)
+               for c in out.l1s],
+        "l2": [(c.hits, c.misses, c.evictions, c.dirty_evictions)
+               for c in out.l2_banks],
+        "directory": (out.directory.invalidations,
+                      out.directory.writebacks),
         "dram": (
             out.dram.read_accesses, out.dram.write_accesses,
             out.dram.read_bytes, out.dram.write_bytes,
             out.dram.row_hits, out.dram.row_misses,
-            list(out.dram._open_rows),
         ),
         "crossbar": (
             out.crossbar.line_packets, out.crossbar.word_packets,
             out.crossbar.control_packets, out.crossbar.line_bytes,
             out.crossbar.word_bytes, out.crossbar.control_bytes,
         ),
+        "state": out.cache.state(),
     }
 
 
 def assert_parity(make_backend, trace, sampler=False):
-    """Replay twice — kernel and scalar oracle — and compare exactly."""
+    """Replay twice — compiled kernel and scalar oracle — and compare
+    exactly. The kernel side must really have run compiled, so the
+    comparison can never pass oracle-vs-oracle."""
     kernel = make_backend()
     out_k = kernel.replay(
         trace, sampler=ReplaySampler(64) if sampler else None
     )
+    assert out_k.kernel["mode"] == "kernel"
+    assert out_k.kernel["batches"] > 0
     oracle = make_backend()
     oracle.force_scalar_cache = True
     out_o = oracle.replay(
         trace, sampler=ReplaySampler(64) if sampler else None
     )
+    assert out_o.kernel["mode"] == "scalar"
     snap_k, snap_o = snapshot(out_k), snapshot(out_o)
     assert snap_k == snap_o
     # Float latency sums must be EXACT (same per-core accumulation
@@ -138,7 +138,7 @@ def baseline_config(topology="crossbar", page_policy="closed"):
 
 # Event tuples: (core, line_id, offset_words, flags). A small line
 # universe forces set conflicts, evictions, coherence churn, and
-# repeated same-line runs (the screened fast case) in every example.
+# repeated same-line runs (L1 hits) in every example.
 EVENTS = st.lists(
     st.tuples(
         st.integers(0, NCORES - 1),
@@ -313,6 +313,71 @@ class TestScalarEscapeHatches:
         trace = make_trace([0], [0x100000], [0])
         out = backend.replay(trace)
         assert out.stats.l1_misses == 1
+
+
+class TestSixtyFourCores:
+    """The sharer mask is one 64-bit word: core 63 owns its top bit."""
+
+    def test_top_sharer_bit(self):
+        cfg = SimConfig.scaled_baseline(num_cores=64)
+        rng = np.random.default_rng(64)
+        n = 3000
+        # Lean on the highest cores so bit 63 is set, shared, owned
+        # and invalidated many times over a small line universe.
+        cores = np.where(rng.random(n) < 0.5,
+                         rng.integers(60, 64, n), rng.integers(0, 64, n))
+        lines = rng.integers(0, 48, n)
+        flags = np.where(rng.random(n) < 0.35, FLAG_WRITE, 0)
+        trace = make_trace(cores, 0x100000 + lines * 64, flags)
+        out_k, _ = assert_parity(lambda: BaselineBackend(cfg), trace)
+        directory = out_k.cache.state()["directory"]
+        assert any(mask >> 63 for mask, _ in directory.values())
+        assert out_k.stats.coherence_invalidations > 0
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+class TestOracleFallback:
+    def test_missing_compiler_falls_back_to_oracle(self, monkeypatch):
+        from repro.memsim import ckernel
+
+        trace = make_trace(
+            [0, 1, 2, 3] * 30,
+            [0x100000 + 64 * (i % 11) for i in range(120)],
+            [FLAG_WRITE if i % 4 == 0 else 0 for i in range(120)],
+        )
+        cfg = baseline_config()
+        records = _Records()
+        logger = logging.getLogger("repro.memsim.ckernel")
+        logger.addHandler(records)
+        monkeypatch.setattr(ckernel, "find_compiler", lambda: None)
+        ckernel.load_kernel.cache_clear()
+        try:
+            fallback = BaselineBackend(cfg).replay(trace)
+            again = BaselineBackend(cfg).replay(trace)
+        finally:
+            logger.removeHandler(records)
+            monkeypatch.undo()
+            ckernel.load_kernel.cache_clear()
+        assert fallback.kernel == {"batches": 0, "events": 0,
+                                   "mode": "scalar"}
+        assert again.kernel["mode"] == "scalar"
+        # One warning per process, naming the reason.
+        assert len(records.messages) == 1
+        assert "no C compiler" in records.messages[0]
+        oracle = BaselineBackend(cfg)
+        oracle.force_scalar_cache = True
+        assert snapshot(fallback) == snapshot(oracle.replay(trace))
+        compiled = BaselineBackend(cfg).replay(trace)
+        assert compiled.kernel["mode"] == "kernel"
+        assert snapshot(compiled) == snapshot(fallback)
 
 
 class TestSourceBufferAndUpdateRoutes:

@@ -32,6 +32,38 @@ class TestJobSpec:
         with pytest.raises(SimulationError):
             JobSpec.from_dict([1, 2])
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_cores", 0),
+        ("num_cores", 65),
+        ("num_cores", 128),
+        ("num_cores", 12),
+        ("num_cores", 2.5),
+        ("num_cores", "many"),
+        ("scale", "abc"),
+        ("scale", 0),
+        ("scale", -1.0),
+        ("scale", float("inf")),
+        ("scale", float("nan")),
+        ("scale", True),
+        ("chunk_size", 0),
+        ("chunk_size", None),
+        ("dataset", "nosuchgraph"),
+        ("algorithm", "nosuchalg"),
+        ("backend", "nosuchbackend"),
+    ])
+    def test_from_dict_rejects_bad_field_naming_it(self, field, value):
+        doc = {"dataset": "lj", "algorithm": "pagerank", field: value}
+        with pytest.raises(SimulationError, match=field):
+            JobSpec.from_dict(doc)
+
+    def test_from_dict_accepts_bounds(self):
+        spec = JobSpec.from_dict({"dataset": "sd", "algorithm": "bfs",
+                                  "backend": "baseline", "scale": 0.25,
+                                  "num_cores": 64, "chunk_size": 1})
+        assert (spec.num_cores, spec.chunk_size, spec.scale) == (64, 1, 0.25)
+        assert JobSpec.from_dict({"dataset": "sd", "algorithm": "bfs",
+                                  "num_cores": 1.0}).num_cores == 1
+
     def test_wait_is_transport_not_spec(self):
         a = JobSpec.from_dict({"dataset": "lj", "algorithm": "bfs"})
         b = JobSpec.from_dict({"dataset": "lj", "algorithm": "bfs",

@@ -6,6 +6,7 @@ finishes — and the served manifest is checked bit-identical (in all
 simulated fields) to a direct ``run_system`` call on the same spec.
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -15,6 +16,7 @@ import pytest
 
 from repro.core.context import RunContext, RunRequest
 from repro.serve import JobManager, make_server, make_system_runner
+from repro.serve.server import MAX_BODY_BYTES, _Handler
 from repro.store import TraceStore
 
 DATASET = "sd"
@@ -153,3 +155,58 @@ def test_cold_coalesced_warm_lifecycle(server):
         context=RunContext(),
     ).manifest()
     assert _strip_host_fields(manifest) == _strip_host_fields(direct)
+
+
+def _raw_post(server, content_length, body=b""):
+    """POST with a hand-written Content-Length header."""
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    try:
+        conn.putrequest("POST", "/v1/jobs")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+def test_non_integer_content_length_gets_400(server):
+    status, doc = _raw_post(server, "abc")
+    assert status == 400
+    assert "Content-Length" in doc["error"]
+
+
+def test_negative_content_length_gets_400(server):
+    status, doc = _raw_post(server, "-5")
+    assert status == 400
+    assert "Content-Length" in doc["error"]
+
+
+def test_oversized_content_length_gets_413(server):
+    status, doc = _raw_post(server, str(MAX_BODY_BYTES + 1))
+    assert status == 413
+    assert "limit" in doc["error"]
+
+
+class _CountingWriter:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+
+def test_reply_is_one_write():
+    handler = _Handler.__new__(_Handler)
+    handler.wfile = _CountingWriter()
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "GET /healthz HTTP/1.1"
+    handler.client_address = ("127.0.0.1", 0)
+    handler.close_connection = False
+    handler._reply(200, {"ok": True})
+    assert len(handler.wfile.writes) == 1
+    head, _, body = handler.wfile.writes[0].partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+    assert f"Content-Length: {len(body)}".encode() in head
+    assert json.loads(body) == {"ok": True}

@@ -25,6 +25,11 @@ class TestCoreConfig:
         with pytest.raises(ConfigError):
             CoreConfig(mlp=0)
 
+    def test_num_cores_capped_at_sharer_mask_width(self):
+        assert CoreConfig(num_cores=64).num_cores == 64
+        with pytest.raises(ConfigError, match="num_cores"):
+            CoreConfig(num_cores=65)
+
 
 class TestScratchpadConfig:
     def test_negative_size_rejected(self):
