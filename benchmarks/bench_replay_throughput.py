@@ -31,6 +31,13 @@ of several runs measured ~30x on each, and the bar leaves a third of
 that as headroom for the oracle's run-to-run noise (the normalization
 divides by it). Earlier Python kernels cleared 3.5x (baseline) and
 5.6x (OMEGA); docs/performance.md keeps the arithmetic.
+
+The estimator row times ``estimate_replay`` on lj/PageRank (baseline)
+and lj@0.5/SSSP (OMEGA, where the source buffers fire) both ways in
+the same run: compiled (``estimate_batch`` and ``srcbuf_walk``) and
+through its fallback (``force_scalar_cache``: numpy reuse gaps and the
+Python buffer walk). The fallback/compiled ratio is host-stable, and
+:data:`ESTIMATE_BARS` gates it.
 """
 
 import time
@@ -42,6 +49,7 @@ from repro.algorithms.registry import run_algorithm
 from repro.core.offload import microcode_for_algorithm
 from repro.graph.reorder import reorder_nth_element
 from repro.memsim.engine import BaselineBackend, OmegaBackend
+from repro.memsim.estimate import estimate_replay
 from repro.memsim.mapping import ScratchpadMapping
 from repro.memsim.scratchpad import hot_capacity_for
 
@@ -62,6 +70,11 @@ ANCHOR_ORACLE_EVENTS_PER_SEC = {"baseline": 457_030, "omega": 904_463}
 
 #: Normalized-speedup acceptance bars (see the module docstring).
 SPEEDUP_BARS = {"baseline": 20.0, "omega": 20.0}
+
+#: Estimator fallback/compiled time ratio bars: the lowest of eight
+#: runs measured 6.6x (baseline) and 4.2x (OMEGA); the bars leave a
+#: third of that as headroom.
+ESTIMATE_BARS = {"baseline": 4.0, "omega": 2.5}
 
 ROUNDS = 3
 
@@ -88,6 +101,65 @@ def _best_seconds(make_hierarchy, trace, rounds=ROUNDS, scalar=False):
         hierarchy.replay(trace)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _estimator_cases():
+    """(make_backend, trace) for the estimator row's two workloads."""
+    bcfg = SimConfig.scaled_baseline()
+    ocfg = SimConfig.scaled_omega()
+    cores = bcfg.core.num_cores
+    graph, _ = bench_graph("lj")
+    plain = run_algorithm("pagerank", graph, num_cores=cores,
+                          chunk_size=32, trace=True)
+    wgraph, _ = bench_graph("lj", scale=0.5, weighted=True)
+    wgraph, _ = reorder_nth_element(wgraph, key="in")
+    sssp = run_algorithm("sssp", wgraph, num_cores=cores, chunk_size=32,
+                         trace=True)
+    hot = hot_capacity_for(
+        ocfg.scratchpad_total_bytes,
+        sssp.engine.vtxprop_bytes_per_vertex(),
+        wgraph.num_vertices,
+    )
+    mapping = ScratchpadMapping(cores, hot, chunk_size=32)
+    microcode = microcode_for_algorithm("sssp")
+    return {
+        "baseline": (lambda: BaselineBackend(bcfg), plain.trace),
+        "omega": (lambda: OmegaBackend(ocfg, mapping, microcode),
+                  sssp.trace),
+    }
+
+
+def _measure_estimator():
+    """Best-of-ROUNDS estimate time, compiled and through the fallback."""
+    rows = []
+    results = {}
+    for name, (make, trace) in _estimator_cases().items():
+        seconds = {}
+        for fallback in (False, True):
+            best = float("inf")
+            for _ in range(ROUNDS + 1):  # the first round warms up
+                backend = make()
+                backend.force_scalar_cache = fallback
+                start = time.perf_counter()
+                est = estimate_replay(backend, trace)
+                best = min(best, time.perf_counter() - start)
+            seconds[fallback] = best
+        ratio = seconds[True] / seconds[False]
+        results[name] = {
+            "estimate_ms": seconds[False] * 1e3,
+            "fallback_ms": seconds[True] * 1e3,
+            "speedup": ratio,
+        }
+        rows.append({
+            "backend": name,
+            "events": trace.num_events,
+            "srcbuf hits": est.srcbuf_hits,
+            "compiled ms": round(seconds[False] * 1e3, 2),
+            "fallback ms": round(seconds[True] * 1e3, 2),
+            "fallback/compiled": round(ratio, 2),
+            "bar": ESTIMATE_BARS[name],
+        })
+    return rows, results
 
 
 def _measure():
@@ -173,6 +245,11 @@ def test_replay_throughput(benchmark):
         " (anchor oracle/seed) — host-load-invariant (the gated"
         " metric)\n"
     )
+    est_rows, est = _measure_estimator()
+    text += "\n" + format_table(
+        est_rows, "Estimator — lj/PageRank baseline, lj@0.5/SSSP OMEGA,"
+        " compiled vs fallback"
+    )
     emit("replay_throughput", text)
     record(
         "replay_throughput",
@@ -193,12 +270,25 @@ def test_replay_throughput(benchmark):
                 name: round(r["speedup_normalized"], 3)
                 for name, r in results.items()
             },
+            "estimate_ms": {
+                name: round(r["estimate_ms"], 3) for name, r in est.items()
+            },
+            "estimate_fallback_ms": {
+                name: round(r["fallback_ms"], 3) for name, r in est.items()
+            },
+            "estimate_speedup": {
+                name: round(r["speedup"], 3) for name, r in est.items()
+            },
         },
         context={
             "workload": "pagerank/lj",
             "seed_events_per_sec": seed,
             "anchor_oracle_events_per_sec": ANCHOR_ORACLE_EVENTS_PER_SEC,
             "speedup_bars": SPEEDUP_BARS,
+            "estimate_workloads": {
+                "baseline": "pagerank/lj", "omega": "sssp/lj@0.5",
+            },
+            "estimate_bars": ESTIMATE_BARS,
             "rounds": ROUNDS,
         },
     )
@@ -206,3 +296,5 @@ def test_replay_throughput(benchmark):
     # The acceptance bars, on the host-normalized metric.
     for name, bar in SPEEDUP_BARS.items():
         assert results[name]["speedup_normalized"] > bar, (name, results)
+    for name, bar in ESTIMATE_BARS.items():
+        assert est[name]["speedup"] > bar, (name, est)

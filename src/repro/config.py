@@ -194,6 +194,13 @@ class SimConfig:
     #: PISC per-op latency (simple ALU + SP read/write).
     pisc_op_cycles: int = 4
 
+    def __post_init__(self) -> None:
+        if self.source_buffer_entries < 1:
+            raise ConfigError(
+                "source_buffer_entries must be >= 1,"
+                f" got {self.source_buffer_entries}"
+            )
+
     @property
     def total_onchip_bytes(self) -> int:
         """Total L2 + scratchpad storage across the chip (the paper's

@@ -25,7 +25,7 @@ produce bit-identical ``core_mem_latency`` / ``core_serial_cycles``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.config import SimConfig
 from repro.errors import SimulationError
 from repro.ligra.trace import Trace
 from repro.memsim.cachestate import CacheSystem
+from repro.memsim.ckernel import FlatSourceBuffers
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.pisc import Microcode, PiscEngine
@@ -125,7 +126,9 @@ class ReplayContext:
     system: CacheSystem
     ncores: int
     piscs: Optional[List[PiscEngine]] = None
-    srcbufs: Optional[List[SourceVertexBuffer]] = None
+    #: OMEGA's per-core source buffers: compiled when the cache path
+    #: is, else the scalar-oracle objects (see ``srcbuf_stage``).
+    srcbufs: Union[List[SourceVertexBuffer], FlatSourceBuffers, None] = None
     #: Backend-supplied scratchpad home/locality overrides (the dynamic
     #: backend homes by ``vertex % ncores`` instead of the mapping).
     sp_home: Optional[np.ndarray] = None

@@ -12,6 +12,7 @@ from repro.ligra.trace import Trace
 from repro.memsim.accounting import ReplayContext, add_core_sums
 from repro.memsim.backends.base import HierarchyBackend
 from repro.memsim.backends.registry import register_backend
+from repro.memsim.ckernel import FlatSourceBuffers
 from repro.memsim.mapping import ScratchpadMapping
 from repro.memsim.pisc import Microcode, PiscEngine
 from repro.memsim.prepass import TracePrepass
@@ -59,10 +60,13 @@ class OmegaBackend(HierarchyBackend):
             for p in ctx.piscs:
                 p.load_microcode(self.microcode)
         if self.config.use_source_buffer:
-            ctx.srcbufs = [
-                SourceVertexBuffer(self.config.source_buffer_entries)
-                for _ in range(ctx.ncores)
-            ]
+            entries = self.config.source_buffer_entries
+            lib = ctx.system.kernel_lib()
+            ctx.srcbufs = (
+                FlatSourceBuffers(lib, ctx.ncores, entries)
+                if lib is not None
+                else [SourceVertexBuffer(entries) for _ in range(ctx.ncores)]
+            )
 
     def route(self, ctx: ReplayContext, trace: Trace,
               prepass: TracePrepass) -> np.ndarray:
@@ -114,13 +118,20 @@ def srcbuf_stage(ctx: ReplayContext, trace: Trace,
     """Run the stateful source-buffer LRU over its candidate events.
 
     Walks only the candidates (in trace order), applying the wholesale
-    barrier invalidations at the positions the full scan would.
-    Returns the hit indices (charged by :meth:`OmegaBackend.account`);
-    misses read-allocate and fall through to the plain-SP route.
+    barrier invalidations at the positions the full scan would: in C
+    when ``ctx.srcbufs`` is a :class:`FlatSourceBuffers`, else through
+    the :class:`SourceVertexBuffer` objects. Returns the hit indices
+    (charged by :meth:`OmegaBackend.account`); misses read-allocate and
+    fall through to the plain-SP route.
     """
     srcbufs = ctx.srcbufs
     n = trace.num_events
-    barriers = sorted({int(b) for b in trace.barriers.tolist() if 0 <= b < n})
+    barriers = np.asarray(trace.barriers, dtype=np.int64)
+    barriers = np.unique(barriers[(barriers >= 0) & (barriers < n)])
+    if isinstance(srcbufs, FlatSourceBuffers):
+        return srcbufs.walk(cand_idx, trace.core[cand_idx],
+                            trace.addr[cand_idx], barriers)
+    barriers = barriers.tolist()
     positions = cand_idx.tolist()
     cores = np.asarray(trace.core[cand_idx], dtype=np.int64).tolist()
     addrs = np.asarray(trace.addr[cand_idx], dtype=np.int64).tolist()

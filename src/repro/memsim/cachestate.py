@@ -24,6 +24,7 @@ one view of the final cache, directory, prefetcher and DRAM state.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Iterator, List, Optional
 
 import numpy as np
@@ -135,8 +136,8 @@ class CacheSystem:
     whole batch through the compiled kernel. ``fast_path_ok`` selects
     the kernel; it starts ``False`` only when ``REPRO_SCALAR_CACHE=1``
     is set, backends flip it off for ``force_scalar_cache``, and it
-    drops to ``False`` at the first batch when the kernel cannot be
-    built.
+    drops to ``False`` at the first :meth:`kernel_lib` call when the
+    kernel cannot be built.
     """
 
     def __init__(self, config: SimConfig, stats: MemStats,
@@ -304,11 +305,10 @@ class CacheSystem:
         """
         if len(cores) == 0:
             return
-        if self.fast_path_ok:
-            if self._replay_compiled(cores, addrs, lines, writes, atomics,
-                                     mem_lat, serial, record):
-                return
-            self.fast_path_ok = False  # no kernel: the oracle from here on
+        if self.fast_path_ok and self._replay_compiled(
+            cores, addrs, lines, writes, atomics, mem_lat, serial, record
+        ):
+            return
         self._replay_generic(
             np.asarray(cores, dtype=np.int64).tolist(),
             np.asarray(addrs, dtype=np.int64).tolist(),
@@ -359,6 +359,21 @@ class CacheSystem:
             else:
                 mem_lat[core] += latency
 
+    def kernel_lib(self) -> Optional[ctypes.CDLL]:
+        """The compiled kernel library when this system runs compiled.
+
+        ``None`` under the scalar oracle; when the kernel cannot be
+        built, ``fast_path_ok`` drops to ``False`` here, for good. The
+        estimator and OMEGA's source buffers ask here too, so they run
+        compiled exactly when the cache path does.
+        """
+        if not self.fast_path_ok:
+            return None
+        lib = load_kernel()
+        if lib is None:
+            self.fast_path_ok = False  # no kernel: the oracle from here on
+        return lib
+
     def _replay_compiled(self, cores, addrs, lines, writes, atomics,
                          mem_lat, serial, record=None) -> bool:
         """One kernel pass over the whole batch, then the counter fold.
@@ -373,7 +388,7 @@ class CacheSystem:
         caches, directory, crossbar, DRAM) the oracle updates.
         """
         if self._flat is None:
-            lib = load_kernel()
+            lib = self.kernel_lib()
             if lib is None:
                 return False
             self._flat = FlatCacheState(lib, self.config, self.crossbar,

@@ -7,11 +7,16 @@
  * scalar oracle's (CacheSystem.access) latency additions, counter
  * increments, CacheRecord writes and per-core latency sums, in the
  * oracle's order. Built with -ffp-contract=off and without
- * -ffast-math, so the float sums are the oracle's, bit for bit. No
- * global mutable state: calls on distinct states may run concurrently
+ * -ffast-math, so the float sums are the oracle's, bit for bit.
+ *
+ * Beside it: estimate_batch(), the reuse-gap model of
+ * repro.memsim.estimate in one pass, and srcbuf_walk(), OMEGA's
+ * per-core source vertex buffers (repro.memsim.srcbuffer). No global
+ * mutable state: calls on distinct states may run concurrently
  * (ctypes releases the GIL around each call).
  */
 #include <stdint.h>
+#include <string.h>
 
 /* Counter slots: these scalars, then per-core blocks of ncores. */
 enum {
@@ -373,4 +378,115 @@ void dir_rehash(kstate *s, const int64_t *old_key, const uint64_t *old_mask,
         s->dir_mask[i] = old_mask[j];
         s->dir_owner[i] = old_owner[j];
     }
+}
+
+/* ---------------------------------------------------------------- */
+/* Reuse-gap estimator (repro.memsim.estimate.predict_slot_hits)    */
+/* ---------------------------------------------------------------- */
+
+/* One access of a slot (a core's L1 set, or a bank's L2 set) to
+   `line`. win[0..ways) holds the lines of the slot's last `ways`
+   accesses as a ring (-1 = none yet; *pos is the oldest). The access
+   hits iff `line` is among them -- predict_slot_hits' rule that the
+   previous access to the line is at most `ways` slot accesses back. */
+static inline int gap_access(int64_t *win, int64_t *pos, int64_t ways,
+                             int64_t line)
+{
+    int hit = 0;
+    for (int64_t w = 0; w < ways; w++)
+        hit |= win[w] == line;
+    win[*pos] = line;
+    *pos = *pos + 1 == ways ? 0 : *pos + 1;
+    return hit;
+}
+
+/*
+ * Reuse-gap prediction over the events whose route is `cache_route`,
+ * in trace order: L1 slots per (core, L1 set); predicted L1 misses go
+ * on to L2 slots per (bank, L2 set). win1/win2 hold each slot's ring
+ * of `ways` lines (filled with -1) and pos1/pos2 its position
+ * (zeroed); a level with ways <= 0 never hits and needs neither.
+ * out[] = l1 hits, l2 hits, writes among the predicted L2 misses.
+ */
+void estimate_batch(int64_t n, const int8_t *routes, int64_t cache_route,
+                    const int64_t *cores, const int64_t *lines,
+                    const uint8_t *writes, int64_t bank_bits,
+                    int64_t l1_sets, int64_t l1_ways,
+                    int64_t l2_sets, int64_t l2_ways,
+                    int64_t *win1, int64_t *pos1,
+                    int64_t *win2, int64_t *pos2, int64_t *out)
+{
+    int64_t bank_mask = ((int64_t)1 << bank_bits) - 1;
+    int64_t l1_hits = 0, l2_hits = 0, miss_writes = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (routes[i] != cache_route)
+            continue;
+        int64_t line = lines[i];
+        int64_t s1 = cores[i] * l1_sets + floor_mod(line, l1_sets);
+        if (l1_ways > 0
+            && gap_access(win1 + s1 * l1_ways, pos1 + s1, l1_ways, line)) {
+            l1_hits++;
+            continue;
+        }
+        int64_t bank = line & bank_mask;
+        int64_t s2 = bank * l2_sets + floor_mod(line >> bank_bits, l2_sets);
+        if (l2_ways > 0
+            && gap_access(win2 + s2 * l2_ways, pos2 + s2, l2_ways, line))
+            l2_hits++;
+        else if (writes[i])
+            miss_writes++;
+    }
+    out[0] = l1_hits;
+    out[1] = l2_hits;
+    out[2] = miss_writes;
+}
+
+/* ---------------------------------------------------------------- */
+/* Source vertex buffers (repro.memsim.srcbuffer.SourceVertexBuffer) */
+/* ---------------------------------------------------------------- */
+
+/* Per-core LRU buffers: core c's live keys are keys[c * entries ..]
+   up to fill[c], most recently used first. */
+typedef struct {
+    int64_t ncores, entries;
+    int64_t *keys, *fill;
+} sbstate;
+
+/*
+ * Look up n candidates (trace positions pos[], in order) in their
+ * cores' buffers: a hit moves the entry to the front, a miss
+ * read-allocates at the front and drops the last entry of a full
+ * buffer. Every buffer is emptied before the first candidate at or
+ * after each barrier position (sorted), and once more if barriers
+ * remain after the last candidate. Writes the hit positions to
+ * hits[] and returns their count.
+ */
+int64_t srcbuf_walk(sbstate *s, int64_t n, const int64_t *pos,
+                    const int64_t *cores, const int64_t *keys,
+                    int64_t nb, const int64_t *barriers, int64_t *hits)
+{
+    int64_t entries = s->entries, nh = 0, bi = 0;
+    size_t fill_bytes = (size_t)s->ncores * sizeof(int64_t);
+    for (int64_t j = 0; j < n; j++) {
+        if (bi < nb && barriers[bi] <= pos[j]) {
+            while (bi < nb && barriers[bi] <= pos[j])
+                bi++;
+            memset(s->fill, 0, fill_bytes);
+        }
+        int64_t core = cores[j], key = keys[j], f = s->fill[core], w;
+        int64_t *kk = s->keys + core * entries;
+        for (w = 0; w < f && kk[w] != key; w++)
+            ;
+        if (w < f)
+            hits[nh++] = pos[j];
+        else if (f < entries)
+            s->fill[core] = f + 1;  /* w == f: the first free entry */
+        else
+            w = entries - 1;  /* evict the least recently used */
+        memmove(kk + 1, kk, (size_t)w * sizeof(int64_t));
+        kk[0] = key;
+    }
+    if (bi < nb)
+        memset(s->fill, 0, fill_bytes);
+    return nh;
 }

@@ -1,7 +1,10 @@
 """The compiled cache kernel: build cache, loader and flat state.
 
 ``ckernel.c`` (beside this module) replays a batch of cache-routed
-events over flat cache state in one C call. The host C compiler builds
+events over flat cache state in one C call (:class:`FlatCacheState`).
+The same library carries the estimator's reuse-gap pass
+(:func:`estimate_batch`) and OMEGA's source-buffer walk
+(:class:`FlatSourceBuffers`). The host C compiler builds
 it with :data:`CFLAGS` at the first kernel replay — never at import —
 and the library is cached as ``ckernel-<digest>.so``, the digest
 covering the source, the compiler's version line and the flags. It is
@@ -23,15 +26,24 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import SimConfig
 from repro.errors import SimulationError
+from repro.memsim.geometry import BankGeometry
 from repro.memsim.interconnect import Crossbar
+from repro.memsim.routes import ROUTE_CACHE
 
-__all__ = ["CFLAGS", "FlatCacheState", "find_compiler", "load_kernel"]
+__all__ = [
+    "CFLAGS",
+    "FlatCacheState",
+    "FlatSourceBuffers",
+    "estimate_batch",
+    "find_compiler",
+    "load_kernel",
+]
 
 _LOG = logging.getLogger("repro.memsim.ckernel")
 
@@ -73,6 +85,14 @@ class _KState(ctypes.Structure):
         "dir_key", "dir_mask", "dir_owner", "heads", "next_head",
         "open_rows", "ranges", "bank_lat", "counters",
     )]
+
+
+class _SbState(ctypes.Structure):
+    """Mirror of ``sbstate`` in ``ckernel.c`` (field order matters)."""
+
+    _fields_ = [(name, _I64) for name in ("ncores", "entries")] + [
+        (name, _PTR) for name in ("keys", "fill")
+    ]
 
 
 def find_compiler() -> Optional[str]:
@@ -142,6 +162,16 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             lib.dir_rehash.argtypes = (
                 [ctypes.POINTER(_KState)] + [_PTR] * 3 + [_I64]
             )
+            lib.estimate_batch.restype = None
+            lib.estimate_batch.argtypes = (
+                [_I64, _PTR, _I64, _PTR, _PTR, _PTR] + [_I64] * 5
+                + [_PTR] * 5
+            )
+            lib.srcbuf_walk.restype = _I64
+            lib.srcbuf_walk.argtypes = (
+                [ctypes.POINTER(_SbState), _I64] + [_PTR] * 3
+                + [_I64, _PTR, _PTR]
+            )
             return lib
     _LOG.warning(
         "compiled cache kernel unavailable (%s); replaying through the"
@@ -152,6 +182,107 @@ def load_kernel() -> Optional[ctypes.CDLL]:
 
 def _ptr(a: np.ndarray) -> int:
     return a.ctypes.data
+
+
+def _check_events(what: str, ncores: int, cores: np.ndarray,
+                  ids: np.ndarray, *others: np.ndarray,
+                  id_name: str = "line id") -> None:
+    """Reject what the C side cannot take: columns of unequal length,
+    core ids outside ``0..ncores-1`` (it indexes per-core state with
+    them) and negative line ids or keys (-1 marks an empty way or ring
+    slot, and no address is negative)."""
+    n = len(cores)
+    if any(len(a) != n for a in (ids, *others)):
+        raise SimulationError(f"{what} columns differ in length")
+    if n and not 0 <= int(cores.min()) <= int(cores.max()) < ncores:
+        raise SimulationError(
+            f"{what} names a core outside 0..{ncores - 1}"
+        )
+    if n and int(ids.min()) < 0:
+        raise SimulationError(f"{what} has a negative {id_name}")
+
+
+def estimate_batch(lib: ctypes.CDLL, routes: np.ndarray, cores: np.ndarray,
+                   lines: np.ndarray, writes: np.ndarray,
+                   geometry: BankGeometry, l1: Tuple[int, int],
+                   l2: Tuple[int, int]) -> Tuple[int, int, int]:
+    """The reuse-gap model's counts in one C pass over full columns.
+
+    Events not routed to the cache are skipped in C. ``l1`` and ``l2``
+    are ``(sets, ways)``; ``geometry`` gives the core/bank count and the
+    bank interleave. Returns ``(l1_hits, l2_hits, l2_miss_writes)``,
+    equal to :func:`repro.memsim.estimate.predict_reuse_gaps` on the
+    same input.
+    """
+    routes = np.ascontiguousarray(routes, dtype=np.int8)
+    cores, lines = (np.ascontiguousarray(a, dtype=np.int64)
+                    for a in (cores, lines))
+    writes = np.ascontiguousarray(writes, dtype=bool)
+    ncores = geometry.num_banks
+    _check_events("estimate batch", ncores, cores, lines, routes, writes)
+    if min(l1[0], l2[0]) < 1:
+        raise SimulationError("reuse-gap levels need at least one set")
+    # Per level, each slot's ring of its last `ways` lines, and the
+    # ring position.
+    rings = []
+    for sets, ways in (l1, l2):
+        slots = ncores * sets
+        rings += [np.full(slots * max(ways, 0), -1, np.int64),
+                  np.zeros(slots, np.int64)]
+    out = np.zeros(3, np.int64)
+    lib.estimate_batch(
+        len(routes), _ptr(routes), int(ROUTE_CACHE), _ptr(cores),
+        _ptr(lines), _ptr(writes), geometry.bank_bits, l1[0], l1[1],
+        l2[0], l2[1], *(_ptr(a) for a in rings), _ptr(out),
+    )
+    l1_hits, l2_hits, l2_miss_writes = out.tolist()
+    return l1_hits, l2_hits, l2_miss_writes
+
+
+class FlatSourceBuffers:
+    """Kernel-mode source vertex buffers: one recency-ordered row per core.
+
+    The compiled twin of a list of
+    :class:`~repro.memsim.srcbuffer.SourceVertexBuffer`; it lives on
+    the replay context, so a streamed replay carries it across
+    segments.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, ncores: int, entries: int) -> None:
+        if entries < 1:
+            raise SimulationError(f"buffer needs >= 1 entry, got {entries}")
+        self._lib = lib
+        self.ncores = ncores
+        self.keys = np.zeros((ncores, entries), np.int64)
+        self.fill = np.zeros(ncores, np.int64)
+        self.st = _SbState(ncores=ncores, entries=entries,
+                           keys=_ptr(self.keys), fill=_ptr(self.fill))
+
+    def walk(self, positions: np.ndarray, cores: np.ndarray,
+             keys: np.ndarray, barriers: np.ndarray) -> np.ndarray:
+        """Look the candidates up in order; returns the hit positions.
+
+        ``barriers`` are sorted positions before which every buffer is
+        emptied (trailing ones empty the buffers after the walk).
+        """
+        positions, cores, keys, barriers = (
+            np.ascontiguousarray(a, dtype=np.int64)
+            for a in (positions, cores, keys, barriers)
+        )
+        _check_events("source-buffer walk", self.ncores, cores, keys,
+                      positions, id_name="key")
+        hits = np.empty(len(positions), np.int64)
+        nh = self._lib.srcbuf_walk(
+            ctypes.byref(self.st), len(positions), _ptr(positions),
+            _ptr(cores), _ptr(keys), len(barriers), _ptr(barriers),
+            _ptr(hits),
+        )
+        return hits[:nh]
+
+    def contents(self) -> List[List[int]]:
+        """Per core, the buffered keys, least recently used first."""
+        return [keys[:fill][::-1].tolist()
+                for keys, fill in zip(self.keys, self.fill.tolist())]
 
 
 class FlatCacheState:
@@ -250,15 +381,9 @@ class FlatCacheState:
                            for a in (writes, atomics))
         n = len(cores)
         ncores = self.ncores
-        if any(len(a) != n for a in (addrs, lines, writes, atomics)):
-            raise SimulationError("cache batch columns differ in length")
-        if n and not 0 <= int(cores.min()) <= int(cores.max()) < ncores:
-            raise SimulationError(
-                f"cache batch names a core outside 0..{ncores - 1}"
-            )
         # Tag -1 marks an empty way, so line ids must be non-negative.
-        if n and int(lines.min()) < 0:
-            raise SimulationError("cache batch has a negative line id")
+        _check_events("cache batch", ncores, cores, lines, addrs, writes,
+                      atomics)
         if len(mem_lat) != ncores or len(serial) != ncores:
             raise SimulationError("latency sums must have one slot per core")
         rec: List[Optional[int]] = [None] * 5

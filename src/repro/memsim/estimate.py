@@ -3,7 +3,7 @@
 The replay engine's cost is its stateful cache kernel. This module
 predicts the MemStats-level headline counters — cache hit rates, DRAM
 read traffic, scratchpad/offload shares — from trace *structure*
-alone, in a handful of vectorized passes:
+alone:
 
 1. The real pre-pass and routing stages run exactly as in
    :func:`repro.memsim.replay.run_replay` (so scratchpad, offload,
@@ -11,14 +11,23 @@ alone, in a handful of vectorized passes:
    is a pure function of the trace and the backend's training state,
    not of cache contents).
 2. Cache-routed events go through a *reuse-gap* model instead of the
-   stateful kernel: in per-(core, L1-set) slot-major order, an access
-   is predicted to hit iff its previous same-line occurrence in the
-   same slot is at most ``ways`` slot-accesses away. First touches are
-   misses. The same rule, applied to the predicted-miss subsequence in
-   (bank, L2-set) slots with the L2's associativity, predicts L2 hits.
+   stateful kernel: an access is predicted to hit its L1 iff the
+   previous access of the same core to the same line is at most
+   ``ways`` accesses of that (core, L1-set) slot back. First touches
+   are misses. The same rule, applied to the predicted-miss
+   subsequence in (bank, L2-set) slots with the L2's associativity,
+   predicts L2 hits.
 3. Predicted DRAM read traffic is the predicted L2 miss count times
    the line size; write traffic uses the write-triggered subset of
    those misses as a dirty-eviction proxy.
+
+Step 2 runs as one C pass in trace order (``estimate_batch`` in
+``ckernel.c``: per slot, a ring of the lines of its last ``ways``
+accesses) whenever the cache path runs compiled. Under the
+scalar oracle — ``REPRO_SCALAR_CACHE``, ``force_scalar_cache`` or no C
+compiler — :func:`predict_reuse_gaps` computes the same counts with
+numpy sorts (:func:`predict_slot_hits`); the parity suite holds the
+two equal at tolerance 0.
 
 The model is deliberately *approximate* where the kernel is stateful:
 the reuse gap counts slot accesses rather than distinct intervening
@@ -36,7 +45,7 @@ no randomness — identical inputs give identical estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -44,7 +53,9 @@ from repro.config import SimConfig
 from repro.ligra.trace import Trace
 from repro.memsim.accounting import LatencyLedger, ReplayContext
 from repro.memsim.cachestate import CacheSystem
+from repro.memsim.ckernel import estimate_batch
 from repro.memsim.dram import DramModel
+from repro.memsim.geometry import BankGeometry
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.prepass import precompute
 from repro.memsim.routes import (
@@ -58,7 +69,12 @@ from repro.memsim.routes import (
 )
 from repro.memsim.stats import MemStats
 
-__all__ = ["ReplayEstimate", "estimate_replay", "predict_slot_hits"]
+__all__ = [
+    "ReplayEstimate",
+    "estimate_replay",
+    "predict_reuse_gaps",
+    "predict_slot_hits",
+]
 
 
 def _slot_argsort(slot: np.ndarray) -> np.ndarray:
@@ -173,7 +189,10 @@ def predict_slot_hits(
     The gap counts slot *accesses*, not distinct lines, so repeated
     touches of one hot line inflate the gap and the model errs toward
     predicting misses (pessimistic for hits, conservative for DRAM
-    traffic). Everything is vectorized; no per-event Python loop.
+    traffic). This is the numpy form: a radix argsort into slot-major
+    order and a ``lexsort`` into (slot, key)-major order. It is the
+    reference for the compiled ``estimate_batch`` and the estimator's
+    path when the cache runs through the scalar oracle.
     """
     n = len(slots)
     out = np.zeros(n, dtype=bool)
@@ -203,15 +222,48 @@ def predict_slot_hits(
     return out
 
 
+def predict_reuse_gaps(
+    routes: np.ndarray,
+    cores: np.ndarray,
+    lines: np.ndarray,
+    writes: np.ndarray,
+    geometry: BankGeometry,
+    l1: Tuple[int, int],
+    l2: Tuple[int, int],
+) -> Tuple[int, int, int]:
+    """The reuse-gap model over the cache-routed events, in numpy.
+
+    ``l1`` and ``l2`` are ``(sets, ways)``; ``geometry`` gives the
+    core/bank count and the bank interleave. Returns ``(l1_hits,
+    l2_hits, l2_miss_writes)`` — the counts
+    :func:`repro.memsim.ckernel.estimate_batch` computes in C.
+    """
+    cache_idx = np.flatnonzero(routes == ROUTE_CACHE)
+    cores = np.asarray(cores, dtype=np.int64)[cache_idx]
+    lines = np.asarray(lines, dtype=np.int64)[cache_idx]
+    l1_hit = predict_slot_hits(cores * l1[0] + lines % l1[0], lines, l1[1])
+    miss = ~l1_hit
+    miss_lines = lines[miss]
+    banks = geometry.banks_of(miss_lines)
+    bank_keys = geometry.bank_keys_of(miss_lines)
+    l2_hit = predict_slot_hits(
+        banks * l2[0] + bank_keys % l2[0], bank_keys, l2[1]
+    )
+    miss_writes = np.asarray(writes, dtype=bool)[cache_idx][miss] & ~l2_hit
+    return (int(np.count_nonzero(l1_hit)), int(np.count_nonzero(l2_hit)),
+            int(np.count_nonzero(miss_writes)))
+
+
 def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     """Predict replay counters for ``trace`` through ``backend``.
 
     Runs the backend's real prepare/route stages (so the estimate
     sees the same routing a replay would — including training-state
     routes like the dynamic scratchpad's frequency filter) and then
-    the closed-form cache model of :func:`predict_slot_hits` instead
-    of the stateful kernel. Costs a few sorts of the cache-routed
-    subset; never touches :meth:`CacheSystem.replay_cache_path`.
+    the reuse-gap cache model instead of the stateful kernel: one C
+    pass (:func:`repro.memsim.ckernel.estimate_batch`) when the cache
+    path runs compiled, else :func:`predict_reuse_gaps`. Never touches
+    :meth:`CacheSystem.replay_cache_path`.
     """
     config: SimConfig = backend.config
     ncores = config.core.num_cores
@@ -248,37 +300,26 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     est.srcbuf_hits = int(counts[ROUTE_SRCBUF_HIT])
     est.locked_events = int(counts[ROUTE_LOCKED])
     est.pim_events = int(counts[ROUTE_PIM])
-
-    cache_idx = np.flatnonzero(routes == ROUTE_CACHE)
-    est.cache_events = int(len(cache_idx))
+    est.cache_events = int(counts[ROUTE_CACHE])
     if not est.cache_events:
         return est
 
-    cores = np.asarray(seg.core, dtype=np.int64)[cache_idx]
-    lines = prepass.lines[cache_idx]
-    l1_nsets = config.l1.num_sets
-    l1_hit = predict_slot_hits(
-        cores * l1_nsets + lines % l1_nsets, lines, config.l1.ways
+    lib = system.kernel_lib()
+    levels = (
+        (config.l1.num_sets, config.l1.ways),
+        (config.l2_per_core.num_sets, config.l2_per_core.ways),
     )
-    est.l1_hits = int(np.count_nonzero(l1_hit))
-    est.l1_misses = est.cache_events - est.l1_hits
-
-    miss = ~l1_hit
-    banks = prepass.banks[cache_idx][miss]
-    bank_keys = prepass.bank_keys[cache_idx][miss]
-    l2_nsets = config.l2_per_core.num_sets
-    l2_hit = predict_slot_hits(
-        banks * l2_nsets + bank_keys % l2_nsets,
-        bank_keys,
-        config.l2_per_core.ways,
+    args = (routes, seg.core, prepass.lines, prepass.write,
+            system.geometry, *levels)
+    l1_hits, l2_hits, l2_miss_writes = (
+        estimate_batch(lib, *args) if lib is not None
+        else predict_reuse_gaps(*args)
     )
-    est.l2_hits = int(np.count_nonzero(l2_hit))
-    est.l2_misses = est.l1_misses - est.l2_hits
-
+    est.l1_hits = l1_hits
+    est.l1_misses = est.cache_events - l1_hits
+    est.l2_hits = l2_hits
+    est.l2_misses = est.l1_misses - l2_hits
     line_bytes = config.l1.line_bytes
     est.dram_read_bytes = est.l2_misses * line_bytes
-    l2_miss_writes = np.count_nonzero(
-        prepass.write[cache_idx][miss] & ~l2_hit
-    )
-    est.dram_write_bytes = int(l2_miss_writes) * line_bytes
+    est.dram_write_bytes = l2_miss_writes * line_bytes
     return est

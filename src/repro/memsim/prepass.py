@@ -7,8 +7,7 @@ over all events at once — everything a replay needs that does not
 depend on cache or directory state:
 
 - flag decoding (write / atomic / source-read / update masks),
-- cache-line ids, home banks and bank-local keys
-  (:class:`~repro.memsim.geometry.BankGeometry`),
+- cache-line ids (:class:`~repro.memsim.geometry.BankGeometry`),
 - region/access-class lookup (the vectorized twin of
   :meth:`repro.ligra.trace.AddressSpace.classify`),
 - hot-vertex membership and scratchpad-home computation (via
@@ -93,10 +92,8 @@ class TracePrepass:
     atomic: np.ndarray
     src_read: np.ndarray
     update: np.ndarray
-    #: Cache-line geometry per event.
+    #: Cache-line id per event.
     lines: np.ndarray
-    banks: np.ndarray
-    bank_keys: np.ndarray
     #: Scratchpad-word access size (bytes, clamped to the 8 B port).
     nbytes: np.ndarray
     #: vtxProp events (the monitor unit's class check).
@@ -144,8 +141,6 @@ def precompute(
         src_read=(flags & FLAG_SRC_READ) != 0,
         update=(flags & FLAG_UPDATE) != 0,
         lines=lines,
-        banks=geometry.banks_of(lines),
-        bank_keys=geometry.bank_keys_of(lines),
         nbytes=np.minimum(trace.size, SP_WORD_BYTES).astype(np.int64),
         vtxprop=vtxprop,
         hot=hot,

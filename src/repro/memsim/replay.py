@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.errors import SimulationError
 from repro.ligra.trace import Trace
 from repro.memsim.cache import Cache
 from repro.memsim.cachestate import CacheRecord, CacheSystem
+from repro.memsim.ckernel import FlatSourceBuffers
 from repro.memsim.coherence import Directory
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
@@ -62,7 +63,7 @@ class ReplayOutput:
     l1s: List[Cache]
     l2_banks: List[Cache]
     directory: Directory
-    srcbufs: Optional[List[SourceVertexBuffer]] = None
+    srcbufs: Union[List[SourceVertexBuffer], FlatSourceBuffers, None] = None
     piscs: Optional[List[PiscEngine]] = None
     #: Number of segments the driver consumed (1 for in-core replay).
     num_segments: int = 1

@@ -7,11 +7,18 @@ latency and fills the buffer; subsequent reads of the same vertex hit
 locally. Because source properties are stable within an algorithm
 iteration, the buffer needs no coherence — it is simply invalidated
 wholesale at every iteration boundary.
+
+Replays walk the buffers in C (``srcbuf_walk`` in ``ckernel.c``, over
+:class:`repro.memsim.ckernel.FlatSourceBuffers`) whenever the cache
+path runs compiled. This class is the reference those walks are held
+to at tolerance 0, and the buffer the walk uses under the scalar
+oracle (``REPRO_SCALAR_CACHE``, ``force_scalar_cache``, no compiler).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import List
 
 from repro.errors import ConfigError
 
@@ -46,6 +53,10 @@ class SourceVertexBuffer:
         """End-of-iteration wholesale invalidation."""
         self.invalidations += 1
         self._entries.clear()
+
+    def contents(self) -> List[int]:
+        """The buffered keys, least recently used first."""
+        return list(self._entries)
 
     @property
     def hit_rate(self) -> float:

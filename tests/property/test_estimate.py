@@ -17,14 +17,23 @@ Two layers, matching :mod:`repro.memsim.estimate`'s accuracy story:
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.registry import run_algorithm
 from repro.graph.generators import rmat_graph
-from repro.memsim.estimate import estimate_replay, predict_slot_hits
+from repro.memsim.ckernel import estimate_batch, load_kernel
+from repro.memsim.estimate import (
+    estimate_replay,
+    predict_reuse_gaps,
+    predict_slot_hits,
+)
+from repro.memsim.geometry import BankGeometry
 from repro.memsim.routes import (
     ROUTE_CACHE,
     ROUTE_LOCKED,
     ROUTE_PIM,
+    ROUTE_SP_PLAIN,
     ROUTE_SRCBUF_HIT,
 )
 
@@ -132,6 +141,58 @@ class TestPredictSlotHits:
         assert predict_slot_hits(one, one, 4).tolist() == [False]
         two = np.array([0, 0], dtype=np.int64)
         assert predict_slot_hits(two, two, 0).tolist() == [False, False]
+
+
+# Reuse-gap inputs: (core, line offset, cache-routed, write). Few lines
+# per example so sets see reuse; the line base reaches 2**40 and just
+# under 2**62 so no bits of a large line id may be lost.
+REUSE_EVENTS = st.lists(
+    st.tuples(st.integers(0, 63), st.integers(0, 40), st.booleans(),
+              st.booleans()),
+    max_size=300,
+)
+LINE_BASES = st.sampled_from([0, 1 << 40, (1 << 62) - 17])
+LEVEL = st.tuples(st.sampled_from([1, 2, 4, 16]), st.integers(-1, 6))
+
+
+class TestCompiledReuseGapParity:
+    """estimate_batch (C) against the numpy reuse-gap model, exactly."""
+
+    @given(REUSE_EVENTS, LINE_BASES, st.sampled_from([1, 2, 4, 64]),
+           LEVEL, LEVEL)
+    @example([], 0, 4, (2, 4), (4, 8))
+    @example([(3, 5, True, True)], (1 << 62) - 17, 64, (1, 1), (1, 1))
+    @example([(1, 2, True, False)] * 6, 1 << 40, 4, (2, 0), (2, -1))
+    @example([(c, c % 3, True, c % 2 == 0) for c in range(64)] * 3,
+             (1 << 62) - 17, 64, (4, 2), (2, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy(self, events, base, ncores, l1, l2):
+        """Includes ways <= 0, n <= 1, 64 cores and line ids >= 2**40
+        and near 2**62."""
+        lib = load_kernel()
+        assert lib is not None
+        routes = np.array(
+            [ROUTE_CACHE if e[2] else ROUTE_SP_PLAIN for e in events],
+            dtype=np.int8,
+        )
+        cores = np.array([e[0] % ncores for e in events], dtype=np.int64)
+        lines = base + np.array([e[1] for e in events], dtype=np.int64)
+        writes = np.array([e[3] for e in events], dtype=bool)
+        args = (routes, cores, lines, writes,
+                BankGeometry(num_banks=ncores, line_bytes=64), l1, l2)
+        assert estimate_batch(lib, *args) == predict_reuse_gaps(*args)
+
+    def test_real_workload_through_estimate_replay(self, workload):
+        """Compiled and numpy paths give the same estimate on every
+        backend, and the comparison is not vacuous."""
+        factories = all_backend_factories(workload)
+        for name in BACKENDS:
+            compiled = estimate_replay(factories[name](), workload[0])
+            backend = factories[name]()
+            backend.force_scalar_cache = True
+            assert estimate_replay(backend, workload[0]).as_dict() == \
+                compiled.as_dict()
+            assert compiled.l1_hits > 0 and compiled.l2_hits > 0
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ file: a single-bit divergence is a bug.
 
 import dataclasses
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.algorithms.registry import run_algorithm
 from repro.config import SimConfig
 from repro.core.offload import microcode_for_algorithm
 from repro.graph.generators import rmat_graph
+from repro.graph.reorder import reorder_nth_element
 from repro.ligra.trace import (
     FLAG_ATOMIC,
     FLAG_SRC_READ,
@@ -31,7 +33,9 @@ from repro.ligra.trace import (
     AccessClass,
     Trace,
 )
+from repro.memsim.backends.omega import srcbuf_stage
 from repro.memsim.cachestate import SCALAR_CACHE_ENV, CacheSystem
+from repro.memsim.ckernel import FlatSourceBuffers, load_kernel
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.stats import MemStats
@@ -43,7 +47,9 @@ from repro.memsim.engine import (
     OmegaBackend,
 )
 from repro.memsim.mapping import ScratchpadMapping
+from repro.memsim.estimate import estimate_replay
 from repro.memsim.scratchpad import hot_capacity_for
+from repro.memsim.srcbuffer import SourceVertexBuffer
 from repro.obs import ReplaySampler
 
 NCORES = 4
@@ -78,7 +84,17 @@ def snapshot(out):
             out.crossbar.word_bytes, out.crossbar.control_bytes,
         ),
         "state": out.cache.state(),
+        "srcbufs": srcbuf_contents(out.srcbufs),
     }
+
+
+def srcbuf_contents(srcbufs):
+    """Per-core source-buffer keys (LRU first), compiled or oracle."""
+    if srcbufs is None:
+        return None
+    if isinstance(srcbufs, FlatSourceBuffers):
+        return srcbufs.contents()
+    return [buf.contents() for buf in srcbufs]
 
 
 def assert_parity(make_backend, trace, sampler=False):
@@ -380,6 +396,56 @@ class TestOracleFallback:
         assert snapshot(compiled) == snapshot(fallback)
 
 
+    def test_missing_compiler_estimator_and_srcbuf_fallback(
+        self, monkeypatch, sssp_workload
+    ):
+        """Without a compiler, the estimator and OMEGA's source buffers
+        fall back to numpy and the Python buffers, with the same
+        results and still one warning."""
+        from repro.memsim import ckernel
+
+        make, trace = sssp_workload
+        compiled_est = estimate_replay(make(), trace).as_dict()
+        compiled = make().replay(trace)
+        assert isinstance(compiled.srcbufs, FlatSourceBuffers)
+        records = _Records()
+        logger = logging.getLogger("repro.memsim.ckernel")
+        logger.addHandler(records)
+        monkeypatch.setattr(ckernel, "find_compiler", lambda: None)
+        ckernel.load_kernel.cache_clear()
+        try:
+            fallback_est = estimate_replay(make(), trace).as_dict()
+            fallback = make().replay(trace)
+        finally:
+            logger.removeHandler(records)
+            monkeypatch.undo()
+            ckernel.load_kernel.cache_clear()
+        assert len(records.messages) == 1
+        assert "no C compiler" in records.messages[0]
+        assert fallback.kernel["mode"] == "scalar"
+        assert isinstance(fallback.srcbufs[0], SourceVertexBuffer)
+        assert fallback_est == compiled_est
+        assert snapshot(fallback) == snapshot(compiled)
+        assert compiled.stats.srcbuf_hits > 0
+
+
+@pytest.fixture(scope="module")
+def sssp_workload():
+    """An SSSP trace on a reordered graph through OMEGA: remote reads
+    of hot source vertices, the source buffer's workload."""
+    graph = rmat_graph(8, edge_factor=6, seed=7, weighted=True)
+    graph, _ = reorder_nth_element(graph, key="in")
+    result = run_algorithm("sssp", graph, num_cores=NCORES, chunk_size=32,
+                           trace=True)
+    cfg = SimConfig.scaled_omega(num_cores=NCORES)
+    hot = hot_capacity_for(cfg.scratchpad_total_bytes,
+                           result.engine.vtxprop_bytes_per_vertex(),
+                           graph.num_vertices)
+    mapping = ScratchpadMapping(NCORES, hot, chunk_size=32)
+    microcode = microcode_for_algorithm("sssp")
+    return (lambda: OmegaBackend(cfg, mapping, microcode)), result.trace
+
+
 class TestSourceBufferAndUpdateRoutes:
     """Trace shapes that exercise OMEGA's srcbuf + offload routing
     alongside the cache path, end to end, kernel vs oracle."""
@@ -406,3 +472,95 @@ class TestSourceBufferAndUpdateRoutes:
         assert_parity(
             lambda: OmegaBackend(ocfg, mapping, microcode), trace
         )
+
+    def test_sssp_trace(self, sssp_workload):
+        """The compiled source buffers really run, and hit, here."""
+        make, trace = sssp_workload
+        out_k, _ = assert_parity(make, trace)
+        assert isinstance(out_k.srcbufs, FlatSourceBuffers)
+        assert out_k.stats.srcbuf_hits > 0
+        assert any(out_k.srcbufs.contents())
+
+    def test_sssp_trace_streamed(self, sssp_workload):
+        """Streamed replay carries the compiled buffers across segments
+        and matches the in-core oracle."""
+        from repro.ligra.segments import SegmentedTrace
+
+        make, trace = sssp_workload
+        streamed = make().replay_segments(
+            SegmentedTrace.from_trace(trace, 1000)
+        )
+        assert streamed.num_segments > 1
+        oracle = make()
+        oracle.force_scalar_cache = True
+        assert snapshot(streamed) == snapshot(oracle.replay(trace))
+
+
+# Candidate events: (core, key, is_candidate). A small key universe and
+# small buffers force repeated keys, hits and LRU evictions.
+SRCBUF_EVENTS = st.lists(
+    st.tuples(st.integers(0, NCORES - 1), st.integers(0, 9), st.booleans()),
+    max_size=120,
+)
+
+
+def _walk(srcbufs, cores, keys, cand, barriers, cuts):
+    """srcbuf_stage over segments [cuts[k], cuts[k+1]) with the state
+    carried; returns the global hit positions."""
+    ctx = SimpleNamespace(srcbufs=srcbufs)
+    barriers = np.asarray(barriers, dtype=np.int64)
+    hits = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        local = barriers[(barriers >= lo) & (barriers < hi)] - lo
+        seg = make_trace(cores[lo:hi], keys[lo:hi], np.zeros(hi - lo))
+        seg.barriers = local
+        idx = np.flatnonzero(cand[lo:hi])
+        hits += (srcbuf_stage(ctx, seg, idx) + lo).tolist()
+    return hits
+
+
+class TestSourceBufferWalkParity:
+    """srcbuf_walk (C) against the SourceVertexBuffer walk."""
+
+    @given(
+        SRCBUF_EVENTS,
+        st.lists(st.integers(-2, 125), max_size=8),
+        st.sampled_from([1, 2, 3, 64]),
+        st.lists(st.integers(0, 120), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_python_walk(self, events, barriers, entries, cuts):
+        """Barriers at, between and beyond candidates (and outside the
+        trace), repeated keys, one-entry buffers, and streamed segments
+        that carry the state: same hits, same final contents."""
+        lib = load_kernel()
+        assert lib is not None
+        n = len(events)
+        cores = np.array([e[0] for e in events], dtype=np.int64)
+        keys = 0x200000 + 8 * np.array([e[1] for e in events],
+                                       dtype=np.int64)
+        cand = np.array([e[2] for e in events], dtype=bool)
+        segmented = [0] + sorted({c for c in cuts if 0 < c < n}) + [n]
+        results = []
+        for cut in ([0, n], segmented):
+            flat = FlatSourceBuffers(lib, NCORES, entries)
+            python = [SourceVertexBuffer(entries) for _ in range(NCORES)]
+            hits_c = _walk(flat, cores, keys, cand, barriers, cut)
+            hits_p = _walk(python, cores, keys, cand, barriers, cut)
+            assert hits_c == hits_p
+            assert flat.contents() == srcbuf_contents(python)
+            results.append((hits_c, flat.contents()))
+        # Segment barriers are rebased, so streaming changes nothing.
+        assert results[0] == results[1]
+
+    def test_hits_evictions_and_barriers(self):
+        lib = load_kernel()
+        assert lib is not None
+        flat = FlatSourceBuffers(lib, 2, 2)
+        cores = np.array([0, 0, 0, 0, 0, 1, 0, 0], dtype=np.int64)
+        keys = np.array([1, 2, 1, 3, 2, 1, 1, 3], dtype=np.int64)
+        cand = np.ones(8, dtype=bool)
+        # 1 2 1(hit) 3(evicts 2) 2(miss, evicts 1) | barrier at 6 | ...
+        hits = _walk(flat, cores, keys, cand, [6], [0, 8])
+        assert hits == [2]
+        assert flat.contents() == [[1, 3], []]

@@ -108,8 +108,6 @@ class TestPrecompute:
             assert pre.update[i] == bool(flags & FLAG_UPDATE)
             line = geo.line_of(int(trace.addr[i]))
             assert pre.lines[i] == line
-            assert pre.banks[i] == geo.bank_of(line)
-            assert pre.bank_keys[i] == geo.bank_key_of(line)
             assert pre.nbytes[i] == min(int(trace.size[i]), 8)
             vertex = int(trace.vertex[i])
             is_vtx = (

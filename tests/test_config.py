@@ -1,5 +1,7 @@
 """Tests for system configuration dataclasses."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -54,6 +56,15 @@ class TestInterconnect:
 
 
 class TestSimConfig:
+    def test_source_buffer_entries_checked_at_construction(self):
+        cfg = SimConfig.scaled_omega()
+        for bad in (0, -3):
+            with pytest.raises(ConfigError, match="source_buffer_entries"):
+                dataclasses.replace(cfg, source_buffer_entries=bad)
+        assert dataclasses.replace(
+            cfg, source_buffer_entries=1
+        ).source_buffer_entries == 1
+
     def test_paper_baseline_matches_table3(self):
         cfg = SimConfig.paper_baseline()
         assert cfg.l2_per_core.size_bytes == 2 * 1024 * 1024
