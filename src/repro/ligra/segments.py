@@ -33,7 +33,9 @@ replay of the interleaved trace.
 from __future__ import annotations
 
 import io
+import os
 import zipfile
+import zlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,13 +43,14 @@ from numpy.lib import format as npformat
 
 from repro.errors import TraceError
 from repro.ligra.trace import (
+    EVENT_COLUMNS,
     READABLE_TRACE_VERSIONS,
     TRACE_FORMAT_VERSION,
     AccessClass,
     Region,
     Trace,
     TraceBuilder,
-    span_lockstep_perm,
+    lockstep_order,
 )
 
 __all__ = [
@@ -63,17 +66,9 @@ __all__ = [
 #: vectorized replay stages efficient.
 DEFAULT_SEGMENT_EVENTS = 262144
 
-#: Per-event columns, in archive order, with their canonical dtypes.
-EVENT_COLUMNS: Tuple[Tuple[str, type], ...] = (
-    ("core", np.int16),
-    ("addr", np.int64),
-    ("size", np.int16),
-    ("access_class", np.int8),
-    ("flags", np.int8),
-    ("vertex", np.int64),
-)
-
 _COLUMN_NAMES = tuple(name for name, _ in EVENT_COLUMNS)
+#: Column bytes per event.
+_EVENT_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in EVENT_COLUMNS)
 
 
 def _segment_member(index: int, column: str) -> str:
@@ -85,7 +80,8 @@ def _write_member(zf: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
 
     ``ZipInfo``'s default date is the zip epoch, so archives are
     byte-deterministic for identical inputs (``zf.write`` would stamp
-    the local mtime instead).
+    the local mtime instead). The data goes out straight from the
+    array's buffer, byte for byte what ``npformat.write_array`` writes.
     """
     info = zipfile.ZipInfo(name)
     array = np.asarray(array)
@@ -93,7 +89,11 @@ def _write_member(zf: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
         # ascontiguousarray would promote 0-d scalars to 1-d.
         array = np.ascontiguousarray(array)
     with zf.open(info, "w", force_zip64=True) as fp:
-        npformat.write_array(fp, array, allow_pickle=False)
+        npformat.write_array_header_1_0(
+            fp, npformat.header_data_from_array_1_0(array)
+        )
+        # A flat byte view: zipfile's size accounting counts len(data).
+        fp.write(array.reshape(-1).view(np.uint8))
 
 
 def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
@@ -101,43 +101,78 @@ def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
                                allow_pickle=False)
 
 
-def _member_memmap(path: str, info: zipfile.ZipInfo,
-                   mmap_mode: str) -> np.ndarray:
-    """Memory-map one stored ``.npy`` member in place.
+def _member_data(f, path,
+                 info: zipfile.ZipInfo) -> Tuple[int, tuple, bool, np.dtype]:
+    """Locate a stored ``.npy`` member's array data in the open file.
 
-    Only ``ZIP_STORED`` members are mappable (the data is the raw
-    ``.npy`` stream); the local file header is parsed to find the
-    data offset because its extra-field length can differ from the
-    central directory's.
+    Only ``ZIP_STORED`` members hold the raw ``.npy`` stream; the
+    local file header is parsed to find it because its extra-field
+    length can differ from the central directory's. Returns the
+    member's start offset and its npy header (shape, Fortran order,
+    dtype), leaving ``f`` at the first data byte.
     """
     if info.compress_type != zipfile.ZIP_STORED:
         raise TraceError(
             f"{info.filename} in {path} is compressed; only stored"
-            " members can be memory-mapped"
+            " members can be read in place"
         )
+    f.seek(info.header_offset)
+    header = f.read(30)
+    if len(header) < 30 or header[:4] != b"PK\x03\x04":
+        raise TraceError(
+            f"{path} has a corrupt local header for {info.filename}"
+        )
+    name_len = int.from_bytes(header[26:28], "little")
+    extra_len = int.from_bytes(header[28:30], "little")
+    start = info.header_offset + 30 + name_len + extra_len
+    f.seek(start)
+    version = npformat.read_magic(f)
+    if version == (1, 0):
+        shape, fortran, dtype = npformat.read_array_header_1_0(f)
+    elif version == (2, 0):
+        shape, fortran, dtype = npformat.read_array_header_2_0(f)
+    else:
+        raise TraceError(
+            f"{info.filename} in {path} has unsupported npy"
+            f" version {version}"
+        )
+    return start, shape, fortran, dtype
+
+
+def _member_memmap(path: str, info: zipfile.ZipInfo,
+                   mmap_mode: str) -> np.ndarray:
+    """Memory-map one stored ``.npy`` member in place."""
     with open(path, "rb") as f:
-        f.seek(info.header_offset)
-        header = f.read(30)
-        if len(header) < 30 or header[:4] != b"PK\x03\x04":
-            raise TraceError(
-                f"{path} has a corrupt local header for {info.filename}"
-            )
-        name_len = int.from_bytes(header[26:28], "little")
-        extra_len = int.from_bytes(header[28:30], "little")
-        f.seek(info.header_offset + 30 + name_len + extra_len)
-        version = npformat.read_magic(f)
-        if version == (1, 0):
-            shape, fortran, dtype = npformat.read_array_header_1_0(f)
-        elif version == (2, 0):
-            shape, fortran, dtype = npformat.read_array_header_2_0(f)
-        else:
-            raise TraceError(
-                f"{info.filename} in {path} has unsupported npy"
-                f" version {version}"
-            )
+        _, shape, fortran, dtype = _member_data(f, path, info)
         offset = f.tell()
     return np.memmap(path, dtype=dtype, mode=mmap_mode, offset=offset,
                      shape=shape, order="F" if fortran else "C")
+
+
+def _read_column(f, path, info: zipfile.ZipInfo, out: np.ndarray) -> None:
+    """Read one stored column member straight into ``out`` (1-d, contiguous).
+
+    The member's npy header must describe exactly ``out`` — its dtype
+    and its length, which the caller takes from ``segment_bounds`` —
+    and the bytes read must match the CRC-32 in the central directory.
+    A mismatch or a short read raises :class:`TraceError`, so the
+    trace store discards the entry as it would on a zip CRC error.
+    """
+    start, shape, _, dtype = _member_data(f, path, info)
+    data_start = f.tell()
+    if (dtype != out.dtype or shape != out.shape
+            or data_start - start + out.nbytes != info.file_size):
+        raise TraceError(
+            f"{info.filename} in {path} holds {dtype}{list(shape)}"
+            f" where the index expects {out.dtype}{list(out.shape)}"
+        )
+    f.seek(start)
+    crc = zlib.crc32(f.read(data_start - start))
+    data = out.view(np.uint8)
+    if f.readinto(data) != len(data):
+        raise TraceError(f"{info.filename} in {path} is truncated")
+    if zlib.crc32(data, crc) != info.CRC:
+        raise TraceError(f"{info.filename} in {path} fails its CRC-32")
 
 
 class SegmentWriter:
@@ -195,10 +230,13 @@ class SegmentWriter:
     def _drain(self, final: bool) -> None:
         if self._pending_n == 0:
             return
-        cols = {
-            name: np.concatenate([b[name] for b in self._pending])
-            for name in _COLUMN_NAMES
-        }
+        if len(self._pending) == 1:
+            cols = self._pending[0]
+        else:
+            cols = {
+                name: np.concatenate([b[name] for b in self._pending])
+                for name in _COLUMN_NAMES
+            }
         n = self._pending_n
         self._pending = []
         self._pending_n = 0
@@ -282,7 +320,7 @@ class SegmentedTrace:
     def __init__(self, *, bounds: np.ndarray, barriers: np.ndarray,
                  regions: Tuple[Region, ...], interleaved: bool,
                  trace: Optional[Trace] = None,
-                 path=None, zf: Optional[zipfile.ZipFile] = None,
+                 path=None, file=None, zf: Optional[zipfile.ZipFile] = None,
                  mmap_mode: Optional[str] = None) -> None:
         self.segment_bounds = np.asarray(bounds, dtype=np.int64)
         self.barriers = np.asarray(barriers, dtype=np.int64)
@@ -290,6 +328,9 @@ class SegmentedTrace:
         self.interleaved = interleaved
         self.path = path
         self._trace = trace
+        # The archive's file, and the zip index read from it; column
+        # members are read from the file directly.
+        self._file = file
         self._zf = zf
         self._mmap_mode = mmap_mode
 
@@ -325,13 +366,26 @@ class SegmentedTrace:
         fresh buffer that is dropped when iteration moves on — that
         is what keeps peak RSS bounded.
         """
-        zf = zipfile.ZipFile(path, "r")
+        segtrace = cls.try_open(path, mmap_mode=mmap_mode)
+        if segtrace is None:
+            raise TraceError(f"{path} is not a segmented trace archive")
+        return segtrace
+
+    @classmethod
+    def try_open(cls, path, mmap_mode: Optional[str] = None
+                 ) -> Optional["SegmentedTrace"]:
+        """Like :meth:`open`, but ``None`` for a monolithic archive.
+
+        A zip without a segment index is closed again and ``None``
+        returned, so a loader opens an archive of either layout once.
+        """
+        file = open(path, "rb")
         try:
+            zf = zipfile.ZipFile(file)
             names = set(zf.namelist())
             if "segment_bounds.npy" not in names:
-                raise TraceError(
-                    f"{path} is not a segmented trace archive"
-                )
+                file.close()
+                return None
             if "format_version.npy" in names:
                 version = int(_read_member(zf, "format_version.npy"))
                 if version not in READABLE_TRACE_VERSIONS:
@@ -341,6 +395,13 @@ class SegmentedTrace:
                         f" this build reads versions {readable}"
                     )
             bounds = _read_member(zf, "segment_bounds.npy")
+            # Columns are allocated from the index before any member is
+            # read, so the index must be sane and fit in the file.
+            if (bounds.ndim != 1 or len(bounds) == 0 or bounds[0] != 0
+                    or np.any(np.diff(bounds) < 0)
+                    or int(bounds[-1]) * _EVENT_BYTES
+                    > os.fstat(file.fileno()).st_size):
+                raise TraceError(f"{path} has a malformed segment index")
             barriers = (
                 _read_member(zf, "barriers.npy")
                 if "barriers.npy" in names
@@ -365,11 +426,11 @@ class SegmentedTrace:
                     )
                 )
         except Exception:  # repro: noqa[EXC001] -- cleanup-and-reraise: close the archive on any failure, then propagate it unchanged
-            zf.close()
+            file.close()
             raise
         return cls(
             bounds=bounds, barriers=barriers, regions=regions,
-            interleaved=interleaved, path=path, zf=zf,
+            interleaved=interleaved, path=path, file=file, zf=zf,
             mmap_mode=mmap_mode,
         )
 
@@ -385,8 +446,7 @@ class SegmentedTrace:
     @property
     def nbytes(self) -> int:
         """Column footprint, matching :attr:`Trace.nbytes` semantics."""
-        per_event = sum(np.dtype(d).itemsize for _, d in EVENT_COLUMNS)
-        return int(self.num_events * per_event + self.barriers.nbytes)
+        return int(self.num_events * _EVENT_BYTES + self.barriers.nbytes)
 
     def __len__(self) -> int:
         return self.num_events
@@ -409,10 +469,37 @@ class SegmentedTrace:
                 )
                 for name in _COLUMN_NAMES
             }
-        return {
-            name: _read_member(self._zf, _segment_member(index, name))
-            for name in _COLUMN_NAMES
-        }
+        cols = {name: np.empty(hi - lo, dtype=dtype)
+                for name, dtype in EVENT_COLUMNS}
+        self._read_segment(index, cols)
+        return cols
+
+    def _read_segment(self, index: int, out: Dict[str, np.ndarray]) -> None:
+        """Read segment ``index``'s column members into ``out``'s arrays."""
+        if self._zf is None:
+            raise TraceError("SegmentedTrace is closed")
+        for name in _COLUMN_NAMES:
+            _read_column(self._file, self.path,
+                         self._zf.getinfo(_segment_member(index, name)),
+                         out[name])
+
+    def verify(self) -> None:
+        """Read every column member once, checking it as a load does.
+
+        Raises :class:`TraceError` at the first member whose npy header
+        disagrees with ``segment_bounds`` or whose bytes fail their
+        CRC-32. Memory stays bounded by one segment; an in-core trace
+        has nothing to check.
+        """
+        if self._trace is not None or self.num_segments == 0:
+            return
+        step = int(np.diff(self.segment_bounds).max())
+        scratch = {name: np.empty(step, dtype=dtype)
+                   for name, dtype in EVENT_COLUMNS}
+        for index, m in enumerate(np.diff(self.segment_bounds).tolist()):
+            self._read_segment(
+                index, {name: buf[:m] for name, buf in scratch.items()}
+            )
 
     def segment(self, index: int) -> Trace:
         """Segment ``index`` as a standalone :class:`Trace`.
@@ -449,29 +536,27 @@ class SegmentedTrace:
             yield self.segment(index)
 
     def materialize(self) -> Trace:
-        """Concatenate every segment into one in-core :class:`Trace`."""
+        """Every segment in one in-core :class:`Trace`.
+
+        Each full column is allocated once and every segment member
+        read straight into its slice (memory-mapped members are copied
+        in).
+        """
         if self._trace is not None:
             return self._trace
-        if self.num_segments == 0:
-            empty64 = np.zeros(0, dtype=np.int64)
-            trace = Trace(
-                core=np.zeros(0, dtype=np.int16), addr=empty64,
-                size=np.zeros(0, dtype=np.int16),
-                access_class=np.zeros(0, dtype=np.int8),
-                flags=np.zeros(0, dtype=np.int8), vertex=empty64,
-                barriers=self.barriers.copy(), regions=self.regions,
-            )
-        else:
-            parts = [self._segment_columns(i)
-                     for i in range(self.num_segments)]
-            trace = Trace(
-                **{
-                    name: np.concatenate([p[name] for p in parts])
-                    for name in _COLUMN_NAMES
-                },
-                barriers=self.barriers.copy(),
-                regions=self.regions,
-            )
+        cols = {name: np.empty(self.num_events, dtype=dtype)
+                for name, dtype in EVENT_COLUMNS}
+        for index in range(self.num_segments):
+            lo = int(self.segment_bounds[index])
+            hi = int(self.segment_bounds[index + 1])
+            out = {name: col[lo:hi] for name, col in cols.items()}
+            if self._mmap_mode is None:
+                self._read_segment(index, out)
+            else:
+                for name, part in self._segment_columns(index).items():
+                    out[name][...] = part
+        trace = Trace(**cols, barriers=self.barriers.copy(),
+                      regions=self.regions)
         if self.interleaved:
             trace._interleaved = trace
         return trace
@@ -497,9 +582,10 @@ class SegmentedTrace:
     def close(self) -> None:
         """Release the underlying archive handle (idempotent)."""
         if self._zf is not None:
-            zf = self._zf
-            self._zf = None
+            zf, file = self._zf, self._file
+            self._zf = self._file = None
             zf.close()
+            file.close()
 
     def __enter__(self) -> "SegmentedTrace":
         return self
@@ -525,26 +611,14 @@ class SpoolingTraceBuilder(TraceBuilder):
         super().__init__(enabled=True)
         self._writer = SegmentWriter(path, segment_events=segment_events,
                                      interleaved=True)
-        self._flushed = 0
-
-    @property
-    def num_events(self) -> int:
-        return self._flushed + sum(len(c["addr"]) for c in self._chunks)
 
     def _flush_span(self) -> None:
         if not self._chunks:
             return
-        chunks = self._chunks
+        cols = self._columns(self._chunks)
         self._chunks = []
-        cols = {
-            name: np.concatenate([c[name] for c in chunks])
-            for name in _COLUMN_NAMES
-        }
-        perm = span_lockstep_perm(cols["core"])
-        self._writer.append(
-            {name: cols[name][perm] for name in _COLUMN_NAMES}
-        )
-        self._flushed += len(perm)
+        perm = lockstep_order(cols["core"], ())
+        self._writer.append({name: col[perm] for name, col in cols.items()})
 
     def mark_barrier(self) -> None:
         self._barriers.append(self.num_events)

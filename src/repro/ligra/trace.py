@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.config import MAX_CORES
 from repro.errors import TraceError
 
 __all__ = [
@@ -37,6 +38,8 @@ __all__ = [
     "CACHE_LINE_BYTES",
     "TRACE_FORMAT_VERSION",
     "READABLE_TRACE_VERSIONS",
+    "EVENT_COLUMNS",
+    "lockstep_order",
     "span_lockstep_perm",
 ]
 
@@ -72,6 +75,16 @@ FLAG_SRC_READ = 4
 #: destination vertex (offloadable to a PISC even when not atomic —
 #: GraphMat-style owner-writes frameworks).
 FLAG_UPDATE = 8
+
+#: Per-event columns, in archive order, with their canonical dtypes.
+EVENT_COLUMNS: Tuple[Tuple[str, type], ...] = (
+    ("core", np.int16),
+    ("addr", np.int64),
+    ("size", np.int16),
+    ("access_class", np.int8),
+    ("flags", np.int8),
+    ("vertex", np.int64),
+)
 
 
 class AccessClass(enum.IntEnum):
@@ -143,11 +156,11 @@ def span_lockstep_perm(core: np.ndarray) -> np.ndarray:
     """Permutation putting one barrier span into lockstep core order.
 
     Event ``i`` of every core precedes event ``i+1`` of any core;
-    per-core order is preserved. Factored out of
-    :meth:`Trace.interleaved` so the streaming spool
-    (:mod:`repro.ligra.segments`) can apply the identical reorder one
-    span at a time — spans compose independently, so per-span
-    application reproduces the whole-trace interleave exactly.
+    per-core order is preserved. This is the numpy reference for
+    :func:`lockstep_order`, which applies it span by span (spans
+    compose independently, so per-span application reproduces the
+    whole-trace interleave exactly) and runs the compiled twin in
+    ``ckernel.c`` when there is one.
     """
     m = len(core)
     order = np.argsort(core, kind="stable")
@@ -158,6 +171,44 @@ def span_lockstep_perm(core: np.ndarray) -> np.ndarray:
     rank = np.empty(m, dtype=np.int64)
     rank[order] = np.arange(m) - group_start
     return np.lexsort((core, rank))
+
+
+def check_core_ids(core: np.ndarray) -> None:
+    """Raise :class:`TraceError` unless every core id is in
+    ``0..MAX_CORES-1``."""
+    if len(core):
+        lo, hi = int(core.min()), int(core.max())
+        if lo < 0 or hi >= MAX_CORES:
+            raise TraceError(
+                f"trace names core {lo if lo < 0 else hi} outside"
+                f" 0..{MAX_CORES - 1}"
+            )
+
+
+def lockstep_order(core: np.ndarray, barriers: np.ndarray) -> np.ndarray:
+    """Permutation putting a whole trace into lockstep order.
+
+    Each span between consecutive barriers (those inside ``(0, n)``,
+    sorted and deduplicated) is ordered by :func:`span_lockstep_perm`.
+    The compiled ``lockstep_perm`` does all spans in one linear-time
+    call whenever the kernel library loads; without it the numpy
+    reference runs per span. Raises :class:`TraceError` on a core id
+    outside ``0..MAX_CORES-1`` either way.
+    """
+    # Lazy: repro.memsim imports this module.
+    from repro.memsim.ckernel import load_kernel, lockstep_perm
+
+    n = len(core)
+    barriers = np.asarray(barriers, dtype=np.int64)
+    bounds = np.unique(np.r_[0, barriers[(barriers > 0) & (barriers < n)], n])
+    lib = load_kernel()
+    if lib is not None:
+        return lockstep_perm(lib, core, bounds)
+    check_core_ids(core)
+    perm = np.empty(n, dtype=np.int64)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        perm[lo:hi] = lo + span_lockstep_perm(core[lo:hi])
+    return perm
 
 
 @dataclass
@@ -258,15 +309,9 @@ class Trace:
         cached = getattr(self, "_interleaved", None)
         if cached is not None:
             return cached
-        n = len(self.addr)
-        if n == 0:
+        if len(self.addr) == 0:
             return self
-        perm = np.empty(n, dtype=np.int64)
-        bounds = [0] + [int(b) for b in self.barriers if 0 < b < n] + [n]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi <= lo:
-                continue
-            perm[lo:hi] = lo + span_lockstep_perm(self.core[lo:hi])
+        perm = lockstep_order(self.core, self.barriers)
         result = Trace(
             core=self.core[perm],
             addr=self.addr[perm],
@@ -327,26 +372,32 @@ class Trace:
         :class:`repro.ligra.segments.SegmentedTrace` — pass
         ``mmap_mode`` (e.g. ``"r"``) to memory-map their columns
         instead of copying, and use ``SegmentedTrace.open`` directly
-        to stream without materializing at all.
+        to stream without materializing at all. A segmented archive is
+        opened once and each column member read once, straight into
+        its slice of the full column, with its npy header and CRC-32
+        checked.
 
         Raises :class:`~repro.errors.TraceError` when the archive is
         not a trace, or carries a ``format_version`` outside
         :data:`READABLE_TRACE_VERSIONS` (legacy archives without the
         version entry load as before).
         """
+        from repro.ligra.segments import SegmentedTrace
+
+        segtrace = SegmentedTrace.try_open(path, mmap_mode=mmap_mode)
+        if segtrace is not None:
+            with segtrace:
+                return segtrace.materialize()
         with np.load(path) as data:
-            segmented = "segment_bounds" in data.files
-            if not segmented:
-                required = {
-                    "core", "addr", "size", "access_class", "flags",
-                    "vertex",
-                }
-                missing = required - set(data.files)
-                if missing:
-                    raise TraceError(
-                        f"{path} is not a trace archive;"
-                        f" missing {sorted(missing)}"
-                    )
+            required = {
+                "core", "addr", "size", "access_class", "flags", "vertex",
+            }
+            missing = required - set(data.files)
+            if missing:
+                raise TraceError(
+                    f"{path} is not a trace archive;"
+                    f" missing {sorted(missing)}"
+                )
             if "format_version" in data.files:
                 version = int(data["format_version"])
                 if version not in READABLE_TRACE_VERSIONS:
@@ -355,15 +406,7 @@ class Trace:
                         f"{path} has trace format version {version};"
                         f" this build reads versions {readable}"
                     )
-            if not segmented:
-                return cls._load_monolithic(data)
-        from repro.ligra.segments import SegmentedTrace
-
-        segtrace = SegmentedTrace.open(path, mmap_mode=mmap_mode)
-        try:
-            return segtrace.materialize()
-        finally:
-            segtrace.close()
+            return cls._load_monolithic(data)
 
     @classmethod
     def _load_monolithic(cls, data) -> "Trace":
@@ -414,9 +457,15 @@ class Trace:
         )
 
 
-def _as_full(x: Union[int, np.ndarray], n: int, dtype) -> np.ndarray:
+#: One appended batch: its event count, then one value per
+#: :data:`EVENT_COLUMNS` column, an array or a scalar filling the batch.
+_Batch = Tuple[int, Tuple[Union[int, np.ndarray], ...]]
+
+
+def _batch_column(x: Union[int, np.ndarray], n: int, dtype):
+    """A batch column: scalars stay scalars until the build fills them."""
     if np.isscalar(x):
-        return np.full(n, x, dtype=dtype)
+        return x
     arr = np.asarray(x, dtype=dtype)
     if len(arr) != n:
         raise TraceError(f"batch column length {len(arr)} != {n}")
@@ -432,8 +481,9 @@ class TraceBuilder:
     """
 
     enabled: bool = True
-    _chunks: List[Dict[str, np.ndarray]] = field(default_factory=list)
+    _chunks: List[_Batch] = field(default_factory=list)
     _barriers: List[int] = field(default_factory=list)
+    _num_events: int = field(default=0, init=False, repr=False)
 
     def append(
         self,
@@ -460,47 +510,40 @@ class TraceBuilder:
             | (FLAG_SRC_READ if src_read else 0)
             | (FLAG_UPDATE if update else 0)
         )
-        self._chunks.append(
-            {
-                "core": _as_full(core, n, np.int16),
-                "addr": addr,
-                "size": _as_full(size, n, np.int16),
-                "access_class": np.full(n, int(access_class), dtype=np.int8),
-                "flags": np.full(n, flags, dtype=np.int8),
-                "vertex": _as_full(vertex, n, np.int64),
-            }
-        )
+        self._chunks.append((n, (
+            _batch_column(core, n, np.int16),
+            addr,
+            _batch_column(size, n, np.int16),
+            int(access_class),
+            flags,
+            _batch_column(vertex, n, np.int64),
+        )))
+        self._num_events += n
 
     @property
     def num_events(self) -> int:
         """Number of events appended so far."""
-        return sum(len(c["addr"]) for c in self._chunks)
+        return self._num_events
 
     def mark_barrier(self) -> None:
         """Record an iteration boundary at the current event position."""
         if self.enabled:
             self._barriers.append(self.num_events)
 
+    @staticmethod
+    def _columns(chunks: List[_Batch]) -> Dict[str, np.ndarray]:
+        """The batches as full columns: each column is allocated once
+        and every batch fills its slice (a scalar by broadcast)."""
+        n = sum(m for m, _ in chunks)
+        columns = [np.empty(n, dtype=dtype) for _, dtype in EVENT_COLUMNS]
+        lo = 0
+        for m, values in chunks:
+            for column, value in zip(columns, values):
+                column[lo:lo + m] = value
+            lo += m
+        return {name: col for (name, _), col in zip(EVENT_COLUMNS, columns)}
+
     def build(self) -> Trace:
         """Finalize into a single columnar :class:`Trace`."""
         barriers = np.asarray(sorted(set(self._barriers)), dtype=np.int64)
-        if not self._chunks:
-            empty64 = np.zeros(0, dtype=np.int64)
-            return Trace(
-                core=np.zeros(0, dtype=np.int16),
-                addr=empty64,
-                size=np.zeros(0, dtype=np.int16),
-                access_class=np.zeros(0, dtype=np.int8),
-                flags=np.zeros(0, dtype=np.int8),
-                vertex=empty64,
-                barriers=barriers,
-            )
-        return Trace(
-            core=np.concatenate([c["core"] for c in self._chunks]),
-            addr=np.concatenate([c["addr"] for c in self._chunks]),
-            size=np.concatenate([c["size"] for c in self._chunks]),
-            access_class=np.concatenate([c["access_class"] for c in self._chunks]),
-            flags=np.concatenate([c["flags"] for c in self._chunks]),
-            vertex=np.concatenate([c["vertex"] for c in self._chunks]),
-            barriers=barriers,
-        )
+        return Trace(**self._columns(self._chunks), barriers=barriers)

@@ -10,8 +10,9 @@
  * -ffast-math, so the float sums are the oracle's, bit for bit.
  *
  * Beside it: estimate_batch(), the reuse-gap model of
- * repro.memsim.estimate in one pass, and srcbuf_walk(), OMEGA's
- * per-core source vertex buffers (repro.memsim.srcbuffer). No global
+ * repro.memsim.estimate in one pass, srcbuf_walk(), OMEGA's per-core
+ * source vertex buffers (repro.memsim.srcbuffer), and lockstep_perm(),
+ * the trace builder's lockstep interleave (repro.ligra.trace). No global
  * mutable state: calls on distinct states may run concurrently
  * (ctypes releases the GIL around each call).
  */
@@ -489,4 +490,58 @@ int64_t srcbuf_walk(sbstate *s, int64_t n, const int64_t *pos,
     if (bi < nb)
         memset(s->fill, 0, fill_bytes);
     return nh;
+}
+
+/* ---------------------------------------------------------------- */
+/* Lockstep interleave (repro.ligra.trace.span_lockstep_perm)        */
+/* ---------------------------------------------------------------- */
+
+#define LOCKSTEP_CORES 64
+
+/*
+ * The lockstep order of a trace, span by span: within each span
+ * [bounds[k], bounds[k+1]) (bounds strictly increasing), event r of
+ * every core precedes event r+1 of any core, cores go in id order,
+ * and each core keeps its own order. Events are counting-sorted by
+ * core into scratch[] (n entries), then emitted rank by rank, a core
+ * dropping out once it runs out of events. perm[] receives the trace
+ * index of each output position. Returns -1, or the index of the
+ * first event whose core id lies outside [0, LOCKSTEP_CORES).
+ */
+int64_t lockstep_perm(const int16_t *core, int64_t nbounds,
+                      const int64_t *bounds, int64_t *perm,
+                      int64_t *scratch)
+{
+    for (int64_t k = 0; k + 1 < nbounds; k++) {
+        int64_t lo = bounds[k], hi = bounds[k + 1];
+        int64_t count[LOCKSTEP_CORES] = {0}, start[LOCKSTEP_CORES];
+        int64_t next[LOCKSTEP_CORES], live[LOCKSTEP_CORES];
+        int64_t nlive = 0, at = lo;
+        for (int64_t i = lo; i < hi; i++) {
+            int64_t c = core[i];
+            if (c < 0 || c >= LOCKSTEP_CORES)
+                return i;
+            count[c]++;
+        }
+        for (int64_t c = 0; c < LOCKSTEP_CORES; c++) {
+            start[c] = next[c] = at;
+            at += count[c];
+            if (count[c])
+                live[nlive++] = c;
+        }
+        for (int64_t i = lo; i < hi; i++)
+            scratch[next[core[i]]++] = i;
+        int64_t out = lo;
+        for (int64_t r = 0; nlive; r++) {
+            int64_t keep = 0;
+            for (int64_t j = 0; j < nlive; j++) {
+                int64_t c = live[j];
+                perm[out++] = scratch[start[c] + r];
+                if (r + 1 < count[c])
+                    live[keep++] = c;
+            }
+            nlive = keep;
+        }
+    }
+    return -1;
 }

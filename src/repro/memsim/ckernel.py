@@ -3,16 +3,17 @@
 ``ckernel.c`` (beside this module) replays a batch of cache-routed
 events over flat cache state in one C call (:class:`FlatCacheState`).
 The same library carries the estimator's reuse-gap pass
-(:func:`estimate_batch`) and OMEGA's source-buffer walk
-(:class:`FlatSourceBuffers`). The host C compiler builds
-it with :data:`CFLAGS` at the first kernel replay — never at import —
-and the library is cached as ``ckernel-<digest>.so``, the digest
+(:func:`estimate_batch`), OMEGA's source-buffer walk
+(:class:`FlatSourceBuffers`) and the trace's lockstep interleave
+(:func:`lockstep_perm`). The host C compiler builds
+it with :data:`CFLAGS` at first use (a kernel replay or a trace
+interleave) — never at import — and the library is cached as ``ckernel-<digest>.so``, the digest
 covering the source, the compiler's version line and the flags. It is
 written to a temporary file and moved into place with
 :func:`os.replace`, so concurrent processes never load a half-written
 file. :func:`load_kernel` returns ``None``, after one logged warning,
 when no compiler is found or the build fails; replay then falls back
-to the scalar oracle.
+to the scalar oracle (and the interleave to numpy).
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import SimConfig
-from repro.errors import SimulationError
+from repro.config import MAX_CORES, SimConfig
+from repro.errors import SimulationError, TraceError
+from repro.ligra.trace import check_core_ids
 from repro.memsim.geometry import BankGeometry
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.routes import ROUTE_CACHE
@@ -43,6 +45,7 @@ __all__ = [
     "estimate_batch",
     "find_compiler",
     "load_kernel",
+    "lockstep_perm",
 ]
 
 _LOG = logging.getLogger("repro.memsim.ckernel")
@@ -172,6 +175,8 @@ def load_kernel() -> Optional[ctypes.CDLL]:
                 [ctypes.POINTER(_SbState), _I64] + [_PTR] * 3
                 + [_I64, _PTR, _PTR]
             )
+            lib.lockstep_perm.restype = _I64
+            lib.lockstep_perm.argtypes = [_PTR, _I64] + [_PTR] * 3
             return lib
     _LOG.warning(
         "compiled cache kernel unavailable (%s); replaying through the"
@@ -237,6 +242,37 @@ def estimate_batch(lib: ctypes.CDLL, routes: np.ndarray, cores: np.ndarray,
     )
     l1_hits, l2_hits, l2_miss_writes = out.tolist()
     return l1_hits, l2_hits, l2_miss_writes
+
+
+def lockstep_perm(lib: ctypes.CDLL, core: np.ndarray,
+                  bounds: np.ndarray) -> np.ndarray:
+    """The lockstep interleave permutation of a whole trace, in one C call.
+
+    ``bounds`` are strictly increasing span bounds from 0 to
+    ``len(core)``; each span is ordered as
+    :func:`repro.ligra.trace.span_lockstep_perm` orders it, and the
+    result indexes the whole trace. Raises
+    :class:`~repro.errors.TraceError` on a core id outside
+    ``0..MAX_CORES-1``.
+    """
+    core = np.asarray(core)
+    if core.dtype != np.int16:
+        check_core_ids(core)  # before the narrowing cast hides a bad id
+    core = np.ascontiguousarray(core, dtype=np.int16)
+    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+    # The C side writes perm[bounds[k]:bounds[k+1]] unchecked.
+    if (len(bounds) == 0 or bounds[0] != 0 or bounds[-1] != len(core)
+            or np.any(np.diff(bounds) <= 0)):
+        raise TraceError("lockstep span bounds must rise strictly from 0"
+                         " to the event count")
+    # Both stay referenced here for the whole C call.
+    perm, scratch = (np.empty(len(core), np.int64) for _ in range(2))
+    bad = lib.lockstep_perm(_ptr(core), len(bounds), _ptr(bounds),
+                            _ptr(perm), _ptr(scratch))
+    if bad >= 0:
+        raise TraceError(f"trace names core {int(core[bad])} outside"
+                         f" 0..{MAX_CORES - 1}")
+    return perm
 
 
 class FlatSourceBuffers:

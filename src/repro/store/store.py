@@ -201,7 +201,7 @@ class TraceStore:
     # Paths
     # ------------------------------------------------------------------
     def trace_path(self, key: str) -> Path:
-        """On-disk path of the compressed trace for ``key``."""
+        """On-disk path of the segmented trace archive for ``key``."""
         return self.root / f"{key}.npz"
 
     def meta_path(self, key: str) -> Path:
@@ -253,8 +253,11 @@ class TraceStore:
         :class:`~repro.ligra.segments.SegmentedTrace` reads one
         bounded segment at a time straight from the archive — the
         whole trace is never resident. Validation and
-        corruption-discard semantics match :meth:`load`; the caller
-        owns closing the handle (it is a context manager).
+        corruption-discard semantics match :meth:`load`: every column
+        member is read once, one segment at a time, and checked
+        against the index and its CRC-32 before the handle is
+        returned. The caller owns closing the handle (it is a context
+        manager).
         """
         counters = get_registry()
         meta_path = self.meta_path(key)
@@ -270,6 +273,7 @@ class TraceStore:
                     )
                 if not segments.interleaved:
                     raise TraceError("stored archive is not interleaved")
+                segments.verify()
             except BaseException:
                 segments.close()
                 raise

@@ -4,6 +4,7 @@ import zipfile
 
 import numpy as np
 import pytest
+from numpy.lib import format as npformat
 
 from repro.errors import TraceError
 from repro.ligra.segments import (
@@ -166,6 +167,79 @@ class TestArchiveRoundtrip:
         with np.load(path) as data:
             assert int(data["format_version"]) == TRACE_FORMAT_VERSION
             assert "segment_bounds" in data.files
+
+
+def _reference_archive(path, segtrace):
+    """The archive as ``npformat.write_array`` lays it out, member by
+    member: the byte-for-byte reference for the buffer-direct writer."""
+    def member(zf, name, array):
+        with zf.open(zipfile.ZipInfo(name), "w", force_zip64=True) as fp:
+            npformat.write_array(fp, np.asarray(array), allow_pickle=False)
+
+    regions = segtrace.regions
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED,
+                         allowZip64=True) as zf:
+        for index in range(segtrace.num_segments):
+            seg = segtrace.segment(index)
+            for name in COLUMNS:
+                member(zf, f"seg{index:05d}.{name}.npy", getattr(seg, name))
+        member(zf, "format_version.npy", np.int64(TRACE_FORMAT_VERSION))
+        member(zf, "interleaved.npy", np.int64(1))
+        member(zf, "segment_bounds.npy", segtrace.segment_bounds)
+        member(zf, "barriers.npy", segtrace.barriers)
+        member(zf, "region_name.npy",
+               np.array([r.name for r in regions], dtype=np.str_))
+        member(zf, "region_base.npy",
+               np.array([r.base for r in regions], dtype=np.int64))
+        member(zf, "region_size.npy",
+               np.array([r.size for r in regions], dtype=np.int64))
+        member(zf, "region_class.npy",
+               np.array([int(r.access_class) for r in regions],
+                        dtype=np.int8))
+
+
+class TestByteDeterminism:
+    """Archives are a pure function of the trace and the segment size."""
+
+    def test_store_and_save_write_identical_bytes(self, tmp_path):
+        from repro.store import TraceStore
+
+        trace = build_trace(n=300, barrier_every=23)
+        store = TraceStore(tmp_path / "store")
+        for key in ("a", "b"):
+            store.store(key, trace, {"num_events": trace.num_events},
+                        segment_events=64)
+        saved = []
+        for name in ("s1.npz", "s2.npz"):
+            SegmentedTrace.from_trace(trace, 64).save(tmp_path / name)
+            saved.append((tmp_path / name).read_bytes())
+        stored = [store.trace_path(k).read_bytes() for k in ("a", "b")]
+        assert stored[0] == stored[1] == saved[0] == saved[1]
+
+    def test_matches_write_array_layout(self, tmp_path):
+        segtrace = SegmentedTrace.from_trace(build_trace(n=300), 64)
+        segtrace.save(tmp_path / "fast.npz")
+        _reference_archive(tmp_path / "ref.npz", segtrace)
+        assert ((tmp_path / "fast.npz").read_bytes()
+                == (tmp_path / "ref.npz").read_bytes())
+
+    def test_np_load_reads_every_member_back(self, tmp_path):
+        trace = build_trace(n=300)
+        segtrace = SegmentedTrace.from_trace(trace, 64)
+        segtrace.save(tmp_path / "t.npz")
+        interleaved = trace.interleaved()
+        with np.load(tmp_path / "t.npz") as data:
+            np.testing.assert_array_equal(data["segment_bounds"],
+                                          segtrace.segment_bounds)
+            np.testing.assert_array_equal(data["barriers"], trace.barriers)
+            for name in COLUMNS:
+                column = np.concatenate([
+                    data[f"seg{i:05d}.{name}"]
+                    for i in range(segtrace.num_segments)
+                ])
+                np.testing.assert_array_equal(column,
+                                              getattr(interleaved, name))
+                assert column.dtype == getattr(interleaved, name).dtype
 
 
 class TestSegmentWriter:

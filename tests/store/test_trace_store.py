@@ -1,7 +1,9 @@
 """Tests for the persistent content-addressed trace store."""
 
+import io
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from repro.config import SimConfig
 from repro.core.system import run_system
 from repro.graph.generators import rmat_graph
 from repro.ligra.trace import AccessClass, TraceBuilder
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.manifest_diff import diff_manifests
 from repro.store import (
     TraceStore,
@@ -202,6 +205,105 @@ class TestSegmentedEntries:
         assert entry is not None
         loaded, _ = entry
         np.testing.assert_array_equal(loaded.addr, tr.interleaved().addr)
+
+
+def _member_data_offset(path, member):
+    """File offset of ``member``'s npy bytes, from its local header."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(member)
+    with open(path, "rb") as f:
+        f.seek(info.header_offset)
+        header = f.read(30)
+    name_len = int.from_bytes(header[26:28], "little")
+    extra_len = int.from_bytes(header[28:30], "little")
+    return info.header_offset + 30 + name_len + extra_len, info.file_size
+
+
+def _flip_column_byte(path, member="seg00001.addr.npy"):
+    """Flip the last data byte of one column member in place: length
+    and zip structure stay valid, so only the CRC-32 can catch it."""
+    start, size = _member_data_offset(path, member)
+    data = bytearray(path.read_bytes())
+    data[start + size - 1] ^= 0x40
+    path.write_bytes(bytes(data))
+
+
+def _rewrite_member(path, member, array):
+    """Replace one member's npy payload, keeping every other member."""
+    with zipfile.ZipFile(path) as zf:
+        members = [(i.filename, zf.read(i)) for i in zf.infolist()]
+    buf = io.BytesIO()
+    np.save(buf, array)
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+        for name, payload in members:
+            zf.writestr(zipfile.ZipInfo(name),
+                        buf.getvalue() if name == member else payload)
+
+
+class TestCorruptionOnRead:
+    """Column members are read straight into their arrays; the npy
+    header and the CRC-32 are still checked, and any defect is a
+    logged miss that discards the entry."""
+
+    @pytest.fixture(params=["load", "open_segments"])
+    def lookup(self, request):
+        def run(store, key):
+            entry = getattr(store, request.param)(key)
+            if entry is not None and request.param == "open_segments":
+                entry[0].close()
+            return entry
+        return run
+
+    def _stored(self, tmp_path):
+        store = TraceStore(tmp_path)
+        tr = _toy_trace(n=64)
+        store.store("k1", tr, {"num_events": tr.num_events},
+                    segment_events=16)
+        return store
+
+    def _assert_discarded(self, store, lookup):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert lookup(store, "k1") is None
+        counters = registry.snapshot()["counters"]
+        assert counters["trace_store.corrupt"] == 1
+        assert counters["trace_store.misses"] == 1
+        assert not store.trace_path("k1").exists()
+        assert not store.meta_path("k1").exists()
+
+    def test_intact_entry_hits(self, tmp_path, lookup):
+        store = self._stored(tmp_path)
+        assert lookup(store, "k1") is not None
+
+    def test_flipped_data_byte_fails_crc(self, tmp_path, lookup):
+        store = self._stored(tmp_path)
+        size = store.trace_path("k1").stat().st_size
+        _flip_column_byte(store.trace_path("k1"))
+        assert store.trace_path("k1").stat().st_size == size
+        with zipfile.ZipFile(store.trace_path("k1")) as zf:
+            assert len(zf.namelist()) > 0  # the zip itself still opens
+        self._assert_discarded(store, lookup)
+
+    def test_header_shape_disagrees_with_bounds(self, tmp_path, lookup):
+        # Same total, so the sidecar's event count still matches; only
+        # the per-member shape check can tell.
+        store = self._stored(tmp_path)
+        _rewrite_member(store.trace_path("k1"), "segment_bounds.npy",
+                        np.array([0, 8, 32, 48, 64], dtype=np.int64))
+        self._assert_discarded(store, lookup)
+
+    def test_header_dtype_disagrees_with_column(self, tmp_path, lookup):
+        store = self._stored(tmp_path)
+        _rewrite_member(store.trace_path("k1"), "seg00000.core.npy",
+                        np.zeros(16, dtype=np.int32))
+        self._assert_discarded(store, lookup)
+
+    def test_oversized_index_rejected_before_allocation(self, tmp_path,
+                                                        lookup):
+        store = self._stored(tmp_path)
+        _rewrite_member(store.trace_path("k1"), "segment_bounds.npy",
+                        np.array([0, 1 << 40], dtype=np.int64))
+        self._assert_discarded(store, lookup)
 
 
 class TestAdopt:
