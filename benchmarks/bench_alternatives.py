@@ -15,8 +15,9 @@ from repro.bench import bench_graph, format_table
 from repro.config import SimConfig
 from repro.algorithms.pagerank import run_pagerank
 from repro.core.offload import microcode_for_algorithm
-from repro.core.system import run_graphpim, run_locked_cache, run_system
-from repro.memsim.alternatives import DynamicScratchpadHierarchy
+from repro.core.context import RunRequest
+from repro.core.system import run_system
+from repro.memsim.backends import DynamicScratchpadBackend
 from repro.memsim.core_model import compute_timing
 from repro.memsim.scratchpad import hot_capacity_for
 
@@ -32,7 +33,7 @@ def _dynamic_cycles(graph) -> float:
     result = run_pagerank(graph, num_cores=cfg.core.num_cores, chunk_size=32)
     capacity = hot_capacity_for(cfg.scratchpad_total_bytes, 9,
                                 graph.num_vertices)
-    hierarchy = DynamicScratchpadHierarchy(
+    hierarchy = DynamicScratchpadBackend(
         cfg, capacity, microcode_for_algorithm("pagerank")
     )
     out = hierarchy.replay(result.trace)
@@ -45,8 +46,10 @@ def _rows(sims):
         graph, _ = bench_graph(ds)
         base = sims.run("pagerank", ds, SimConfig.scaled_baseline())
         omega = sims.run("pagerank", ds, SimConfig.scaled_omega())
-        locked = run_locked_cache(graph, "pagerank", dataset=ds)
-        pim = run_graphpim(graph, "pagerank", dataset=ds)
+        locked, pim = (
+            run_system(graph, RunRequest("pagerank", backend=b, dataset=ds))
+            for b in ("locked", "graphpim")
+        )
         for rep in (base, omega, locked, pim):
             rows.append(
                 {

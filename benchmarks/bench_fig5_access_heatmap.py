@@ -6,7 +6,7 @@ that target the 20% most-connected vertices. The paper reports up to
 omitted there too, for profiling cost).
 """
 
-from repro.bench import bench_graph, print_heatmap, format_table
+from repro.bench import bench_graph, format_table
 from repro.algorithms.registry import ALGORITHMS, run_algorithm
 from repro.core.characterization import access_fraction_to_top
 

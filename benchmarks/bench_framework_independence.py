@@ -11,6 +11,7 @@ transfers. Both must still come out ahead.
 from repro.bench import bench_graph, format_table
 from repro.config import SimConfig
 from repro.core.system import run_system
+from repro.core.context import RunRequest
 
 from conftest import emit
 
@@ -19,10 +20,16 @@ def _rows():
     graph, _ = bench_graph("lj")
     rows = []
     for framework in ("ligra", "graphmat"):
-        base = run_system(graph, "pagerank", SimConfig.scaled_baseline(),
-                          dataset="lj", framework=framework)
-        omega = run_system(graph, "pagerank", SimConfig.scaled_omega(),
-                           dataset="lj", framework=framework)
+        base = run_system(
+            graph,
+            RunRequest("pagerank", dataset="lj", alg_kwargs={"framework": framework}),
+            SimConfig.scaled_baseline(),
+        )
+        omega = run_system(
+            graph,
+            RunRequest("pagerank", dataset="lj", alg_kwargs={"framework": framework}),
+            SimConfig.scaled_omega(),
+        )
         rows.append(
             {
                 "framework": framework,

@@ -25,6 +25,7 @@ import pathlib
 import time
 
 from repro.bench import format_table
+from repro.core.context import RunContext, RunRequest
 
 from conftest import emit
 from _mem import peak_rss_bytes, run_measured
@@ -63,9 +64,10 @@ def _run_workload(segment_events):
     baseline_rss = peak_rss_bytes()
     start = time.perf_counter()
     report = run_system(
-        graph, "pagerank", config, dataset=f"rmat{SCALE}",
-        backend="baseline", cache=False, segment_events=segment_events,
-        max_iters=MAX_ITERS,
+        graph,
+        RunRequest("pagerank", backend="baseline", dataset=f"rmat{SCALE}",
+                   alg_kwargs={"max_iters": MAX_ITERS}),
+        config, context=RunContext(segment_events=segment_events),
     )
     wall = time.perf_counter() - start
     return {

@@ -11,8 +11,8 @@ references:
   this workload (events decoded, classified, and routed one at a
   time), read from the first entry of the ``BENCH_replay_throughput``
   trajectory (the built-in constants only seed a fresh ledger), and
-- the engine's own scalar cache oracle (``force_scalar_cache``, the
-  ``REPRO_SCALAR_CACHE=1`` path), which still pays per-event cache
+- the engine's own scalar cache oracle (a backend's ``scalar_cache``,
+  the ``REPRO_SCALAR_CACHE=1`` path), which still pays per-event cache
   simulation but benefits from the vectorized pre-pass/routing — an
   in-process lower bound on the kernel's win.
 
@@ -35,7 +35,7 @@ divides by it). Earlier Python kernels cleared 3.5x (baseline) and
 The estimator row times ``estimate_replay`` on lj/PageRank (baseline)
 and lj@0.5/SSSP (OMEGA, where the source buffers fire) both ways in
 the same run: compiled (``estimate_batch`` and ``srcbuf_walk``) and
-through its fallback (``force_scalar_cache``: numpy reuse gaps and the
+through its fallback (``scalar_cache``: numpy reuse gaps and the
 Python buffer walk). The fallback/compiled ratio is host-stable, and
 :data:`ESTIMATE_BARS` gates it.
 """
@@ -48,7 +48,7 @@ from repro.config import SimConfig
 from repro.algorithms.registry import run_algorithm
 from repro.core.offload import microcode_for_algorithm
 from repro.graph.reorder import reorder_nth_element
-from repro.memsim.engine import BaselineBackend, OmegaBackend
+from repro.memsim.backends import BaselineBackend, OmegaBackend
 from repro.memsim.estimate import estimate_replay
 from repro.memsim.mapping import ScratchpadMapping
 from repro.memsim.scratchpad import hot_capacity_for
@@ -96,7 +96,7 @@ def _best_seconds(make_hierarchy, trace, rounds=ROUNDS, scalar=False):
     for _ in range(rounds):
         hierarchy = make_hierarchy()
         if scalar:
-            hierarchy.force_scalar_cache = True
+            hierarchy.scalar_cache = True
         start = time.perf_counter()
         hierarchy.replay(trace)
         best = min(best, time.perf_counter() - start)
@@ -139,7 +139,7 @@ def _measure_estimator():
             best = float("inf")
             for _ in range(ROUNDS + 1):  # the first round warms up
                 backend = make()
-                backend.force_scalar_cache = fallback
+                backend.scalar_cache = fallback
                 start = time.perf_counter()
                 est = estimate_replay(backend, trace)
                 best = min(best, time.perf_counter() - start)

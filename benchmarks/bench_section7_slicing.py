@@ -11,6 +11,7 @@ from repro.bench import bench_graph, format_table
 from repro.config import SimConfig
 from repro.core.sliced import run_sliced
 from repro.core.system import run_system
+from repro.core.context import RunRequest
 
 from conftest import emit
 
@@ -20,14 +21,18 @@ SCALE = 0.5  # 16k vertices: top-20% = 3.3k > 1.8k scratchpad capacity
 
 def _rows(sims):
     graph, _ = bench_graph(DATASET, scale=SCALE)
-    base = run_system(graph, "pagerank", SimConfig.scaled_baseline(),
-                      dataset=DATASET)
-    unsliced = run_system(graph, "pagerank", SimConfig.scaled_omega(),
-                          dataset=DATASET)
-    plain = run_sliced(graph, "pagerank", dataset=DATASET,
-                       power_law_aware=False)
-    aware = run_sliced(graph, "pagerank", dataset=DATASET,
-                       power_law_aware=True)
+    base = run_system(
+        graph, RunRequest("pagerank", dataset=DATASET), SimConfig.scaled_baseline(),
+    )
+    unsliced = run_system(
+        graph, RunRequest("pagerank", dataset=DATASET), SimConfig.scaled_omega(),
+    )
+    plain = run_sliced(
+        graph, RunRequest("pagerank", dataset=DATASET), power_law_aware=False,
+    )
+    aware = run_sliced(
+        graph, RunRequest("pagerank", dataset=DATASET), power_law_aware=True,
+    )
     return [
         {"strategy": "baseline CMP", "slices": 1,
          "cycles": round(base.cycles), "speedup": 1.0},

@@ -18,6 +18,7 @@ from repro.graph.dynamic import (
     uniform_edges,
 )
 from repro.graph.reorder import reorder_nth_element
+from repro.core.context import RunRequest
 
 from conftest import emit
 
@@ -41,14 +42,16 @@ def _rows():
     for kind in ("preferential", "uniform"):
         new_graph = _grown(deployed, kind)
         overlap = hot_set_overlap(deployed, new_graph)
-        base = run_system(new_graph, "pagerank", baseline_cfg, dataset="lj")
+        base = run_system(new_graph, RunRequest("pagerank", dataset="lj"), baseline_cfg)
         # Stale mapping: keep the old ordering (ids 0..k are the OLD
         # hot set) — no re-reordering pass.
-        stale = run_system(new_graph, "pagerank", omega_cfg, dataset="lj",
-                           reorder=False)
+        stale = run_system(
+            new_graph, RunRequest("pagerank", dataset="lj", reorder=False), omega_cfg,
+        )
         # Re-identified mapping: run the nth-element pass again.
-        fresh = run_system(new_graph, "pagerank", omega_cfg, dataset="lj",
-                           reorder=True)
+        fresh = run_system(
+            new_graph, RunRequest("pagerank", dataset="lj", reorder=True), omega_cfg,
+        )
         rows.append(
             {
                 "growth model": kind,

@@ -7,7 +7,7 @@ original values are shown alongside for comparison.
 """
 
 from repro.bench import bench_graph, format_table
-from repro.graph.datasets import DATASETS, dataset_names
+from repro.graph.datasets import dataset_names
 from repro.graph.degree import characterize
 
 from conftest import emit

@@ -36,6 +36,7 @@ from repro.config import SimConfig
 from repro.core.system import run_system
 from repro.obs import SpanTracer, use_tracer
 from repro.store import TraceStore
+from repro.core.context import RunContext, RunRequest
 
 from conftest import emit, record
 
@@ -52,8 +53,10 @@ def _timed_run(graph, cfg, store, stage_names):
     tracer = SpanTracer()
     start = time.perf_counter()
     with use_tracer(tracer):
-        report = run_system(graph, "pagerank", cfg, dataset="lj",
-                            cache=store)
+        report = run_system(
+            graph, RunRequest("pagerank", dataset="lj"), cfg,
+            context=RunContext(store=store),
+        )
     total = time.perf_counter() - start
     spans = dict.fromkeys(stage_names, 0.0)
     for r in tracer.records:

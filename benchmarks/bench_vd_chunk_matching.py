@@ -8,7 +8,6 @@ access share and the speedup cost of the mismatch.
 """
 
 from repro.bench import format_table
-from repro.config import SimConfig
 
 from conftest import emit
 

@@ -39,6 +39,7 @@ from repro.core.report import Comparison, SimReport
 from repro.core.system import run_system
 from repro.bench.record import record_bench
 from repro.bench.runner import bench_graph
+from repro.core.context import RunContext, RunRequest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -52,7 +53,7 @@ TRACE_CACHE_DIR = os.environ.get(
 
 
 def _bench_cache():
-    """run_system ``cache`` argument for benchmark runs."""
+    """``RunContext.from_env(cache=...)`` selector for benchmark runs."""
     if os.environ.get("REPRO_BENCH_NO_CACHE"):
         return False
     return TRACE_CACHE_DIR
@@ -122,9 +123,9 @@ class ComparisonCache:
                 weighted=info.requires_weights,
                 undirected=info.requires_undirected,
             )
-            kwargs.setdefault("cache", _bench_cache())
             self._runs[key] = run_system(
-                graph, algorithm, config, dataset=dataset, **kwargs
+                graph, RunRequest(algorithm, dataset=dataset, **kwargs), config,
+                context=RunContext.from_env(cache=_bench_cache()),
             )
         return self._runs[key]
 

@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import compare_systems, load_dataset
+from repro.core.context import RunRequest
 
 
 def main() -> None:
@@ -17,7 +18,7 @@ def main() -> None:
     print(f"dataset: {spec.name} — {spec.description}")
     print(f"graph:   {graph.num_vertices} vertices, {graph.num_edges} arcs")
 
-    cmp = compare_systems(graph, "pagerank", dataset=spec.name)
+    cmp = compare_systems(graph, RunRequest("pagerank", dataset=spec.name))
 
     base, omega = cmp.baseline, cmp.omega
     print()

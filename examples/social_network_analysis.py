@@ -17,6 +17,7 @@ from repro import compare_systems, load_dataset
 from repro.algorithms import run_pagerank
 from repro.core.characterization import access_fraction_to_top
 from repro.graph import characterize
+from repro.core.context import RunRequest
 
 
 def main() -> None:
@@ -36,7 +37,7 @@ def main() -> None:
 
     # Stage 1: influence ranking.
     print("\n== stage 1: influence ranking (PageRank) ==")
-    pr = compare_systems(graph, "pagerank", dataset=spec.name)
+    pr = compare_systems(graph, RunRequest("pagerank", dataset=spec.name))
     rank = run_pagerank(graph, trace=False, max_iters=10,
                         tolerance=1e-9).value("rank")
     top_users = np.argsort(-rank)[:5]
@@ -47,7 +48,7 @@ def main() -> None:
     # Stage 2: community structure (CC needs the symmetric graph).
     print("\n== stage 2: community structure (connected components) ==")
     undirected = graph.as_undirected()
-    cc = compare_systems(undirected, "cc", dataset=spec.name)
+    cc = compare_systems(undirected, RunRequest("cc", dataset=spec.name))
     from repro.algorithms import run_cc
 
     labels = run_cc(undirected, trace=False).value("labels")
@@ -59,8 +60,10 @@ def main() -> None:
 
     # Stage 3: reachability from the top influencer.
     print("\n== stage 3: reach of the top influencer (BFS) ==")
-    bfs = compare_systems(graph, "bfs", dataset=spec.name,
-                          source=int(top_users[0]))
+    bfs = compare_systems(
+        graph,
+        RunRequest("bfs", dataset=spec.name, alg_kwargs={"source": int(top_users[0])}),
+    )
     from repro.algorithms import run_bfs
 
     levels = run_bfs(graph, source=int(top_users[0]), trace=False).value("level")

@@ -9,6 +9,7 @@ runner so the benchmark harness can sweep algorithms by name.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
@@ -29,7 +30,13 @@ from repro.algorithms.tc import run_tc
 from repro.ligra.atomics import AtomicOp
 from repro.obs import get_tracer
 
-__all__ = ["AlgorithmInfo", "ALGORITHMS", "algorithm_names", "run_algorithm"]
+__all__ = [
+    "AlgorithmInfo",
+    "ALGORITHMS",
+    "algorithm_names",
+    "run_algorithm",
+    "runner_kwargs",
+]
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,19 @@ ALGORITHMS: Dict[str, AlgorithmInfo] = {
 def algorithm_names() -> Tuple[str, ...]:
     """All algorithm keys in Table II order."""
     return tuple(ALGORITHMS)
+
+
+#: Arguments :func:`run_algorithm` passes to every runner itself.
+_UNIFORM_ARGS = ("graph", "num_cores", "chunk_size", "trace")
+
+
+def runner_kwargs(name: str) -> Tuple[str, ...]:
+    """A registered runner's algorithm-specific keyword arguments.
+
+    E.g. ``("source",)`` for BFS, in signature order.
+    """
+    params = inspect.signature(_RUNNERS[name]).parameters
+    return tuple(p for p in params if p not in _UNIFORM_ARGS)
 
 
 def run_algorithm(

@@ -165,19 +165,15 @@ def build_grid(
 
 def run_task(
     task: SweepTask,
-    cache=None,
     prune: Optional[str] = None,
     context=None,
 ) -> Dict:
     """Execute one sweep cell and flatten the report into a row dict.
 
-    Module-level (and taking only picklable arguments) so it can cross
-    a process boundary; ``cache`` follows
-    :func:`repro.store.resolve_store` semantics but must be a path or
-    ``None``/``False`` when used with worker processes. ``context`` is
-    an optional :class:`repro.core.context.RunContext`; when given it
-    is authoritative and ``cache`` is ignored — the sweep executor
-    resolves ambient state exactly once in the parent and ships the
+    Module-level so it can cross a process boundary. ``context`` is
+    the cell's :class:`repro.core.context.RunContext` (default
+    :meth:`~repro.core.context.RunContext.from_env`) — the sweep
+    executor resolves it exactly once in the parent and ships the
     value here, so workers never re-derive it from the environment.
 
     ``prune`` is an :func:`parse_prune_spec` interest band: when given,
@@ -191,22 +187,17 @@ def run_task(
     import time
 
     from repro.algorithms.registry import ALGORITHMS
-    from repro.core.context import RunContext
-    from repro.core.system import (
-        default_backend_config,
-        estimate_system,
-        run_system,
-    )
+    from repro.core.context import RunContext, RunRequest
+    from repro.core.system import estimate_system, run_system
     from repro.graph.datasets import load_dataset
 
-    info = ALGORITHMS.get(task.algorithm)
-    if info is None:
-        raise SimulationError(
-            f"unknown algorithm {task.algorithm!r};"
-            f" available: {', '.join(ALGORITHMS)}"
-        )
+    request = RunRequest(
+        task.algorithm, backend=task.backend, dataset=task.dataset,
+        chunk_size=task.chunk_size, num_cores=task.num_cores,
+    )
+    info = ALGORITHMS[task.algorithm]
     if context is None:
-        context = RunContext.from_env(cache=cache)
+        context = RunContext.from_env()
     rules = parse_prune_spec(prune) if prune else None
     start = time.perf_counter()
     graph, _spec = load_dataset(
@@ -214,17 +205,8 @@ def run_task(
     )
     if info.requires_undirected and graph.directed:
         graph = graph.as_undirected()
-    config = default_backend_config(task.backend, num_cores=task.num_cores)
     if rules is not None:
-        est = estimate_system(
-            graph,
-            task.algorithm,
-            config,
-            dataset=task.dataset,
-            backend=task.backend,
-            chunk_size=task.chunk_size,
-            context=context,
-        )
+        est = estimate_system(graph, request, context=context)
         metrics = est.as_dict()
         reason = prune_reason(metrics, rules)
         if reason is not None:
@@ -248,15 +230,7 @@ def run_task(
                 "pruned": reason,
                 "estimate": metrics,
             }
-    report = run_system(
-        graph,
-        task.algorithm,
-        config,
-        dataset=task.dataset,
-        backend=task.backend,
-        chunk_size=task.chunk_size,
-        context=context,
-    )
+    report = run_system(graph, request, context=context)
     run_seconds = time.perf_counter() - start
     cache_state = "off"
     if report.trace_cache and report.trace_cache.get("enabled"):
@@ -307,9 +281,10 @@ def run_sweep(
 
     ``workers <= 1`` runs inline (no pool, easiest to debug);
     ``workers > 1`` fans tasks across a ``ProcessPoolExecutor``. Rows
-    come back in task order either way. ``cache`` follows
-    :func:`repro.store.resolve_store` semantics; the parent resolves
-    it (and the rest of the ambient state) into one
+    come back in task order either way. ``cache`` is the
+    :meth:`RunContext.from_env <repro.core.context.RunContext.from_env>`
+    store selector; the parent resolves it (and the rest of the
+    environment) into one
     :class:`repro.core.context.RunContext` up front, and workers
     receive that context's :meth:`~repro.core.context.RunContext.to_spec`
     serialization — a live store handle crosses the process boundary

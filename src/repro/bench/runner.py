@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
+from repro.core.context import RunContext, RunRequest
 from repro.core.report import Comparison
 from repro.core.system import compare_systems
 from repro.graph.csr import CSRGraph
@@ -74,7 +75,7 @@ def run_comparison(
     scale: float = BENCH_SCALE,
     baseline_config: Optional[SimConfig] = None,
     omega_config: Optional[SimConfig] = None,
-    **kwargs,
+    context: Optional[RunContext] = None,
 ) -> Comparison:
     """Run one baseline-vs-OMEGA comparison for a named workload."""
     from repro.algorithms.registry import ALGORITHMS
@@ -87,12 +88,9 @@ def run_comparison(
         undirected=info.requires_undirected,
     )
     return compare_systems(
-        graph,
-        algorithm,
-        baseline_config=baseline_config,
-        omega_config=omega_config,
-        dataset=dataset,
-        **kwargs,
+        graph, RunRequest(algorithm, dataset=dataset),
+        baseline_config=baseline_config, omega_config=omega_config,
+        context=context,
     )
 
 

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro datasets
-    python -m repro run --dataset lj --algorithm pagerank --system omega
+    python -m repro run --dataset lj --algorithm pagerank --backend omega
     python -m repro run --dataset lj --trace-out trace.json \
         --metrics-out timeline.json --manifest run.json
     python -m repro run --dataset lj --attribution --manifest run.json
@@ -69,17 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate one system on one workload")
     _workload_args(run)
     run.add_argument(
-        "--system",
-        choices=("baseline", "omega", "locked", "graphpim"),
-        default="omega",
-        help="memory-subsystem design to simulate",
-    )
-    run.add_argument(
         "--backend",
         choices=("baseline", "omega", "locked", "graphpim", "dynamic"),
-        default=None,
-        help="replay-engine backend (overrides --system; adds the"
-             " dynamic-scratchpad variant)",
+        default="omega",
+        help="memory-subsystem design (replay-engine backend) to simulate",
     )
     run.add_argument(
         "--manifest",
@@ -343,10 +336,10 @@ def _cache_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_cache(args):
-    """Map --cache-dir/--no-cache onto run_system's ``cache`` argument."""
+    """Map --cache-dir/--no-cache onto ``RunContext.from_env(cache=)``."""
     if args.no_cache:
         return False
-    return args.cache_dir  # None -> ambient (REPRO_CACHE_DIR), path -> store
+    return args.cache_dir  # None -> REPRO_CACHE_DIR, path -> store
 
 
 def _load(dataset: str, algorithm: str, scale: float):
@@ -399,23 +392,22 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.core.system import default_backend_config, run_system
+    from repro.core.context import RunContext, RunRequest
+    from repro.core.system import run_system
 
     graph, spec = _load(args.dataset, args.algorithm, args.scale)
-    backend = args.backend or args.system
-    config = default_backend_config(backend, num_cores=args.cores)
-    report = run_system(
-        graph, args.algorithm, config,
-        dataset=spec.name, backend=backend, manifest_path=args.manifest,
+    request = RunRequest(
+        args.algorithm, backend=args.backend, dataset=spec.name,
+        num_cores=args.cores, manifest_path=args.manifest,
         trace_path=args.trace_out, timeline_path=args.metrics_out,
-        obs_window=args.obs_window, cache=_resolve_cache(args),
-        segment_events=args.segment_events,
-        attribution=(
-            True if (args.attribution or args.attribution_out) else None
-        ),
-        attribution_path=args.attribution_out,
-        ledger_path=args.ledger,
+        obs_window=args.obs_window, attribution_path=args.attribution_out,
     )
+    context = RunContext.from_env(
+        cache=_resolve_cache(args), segment_events=args.segment_events,
+        attribution=True if args.attribution else None,
+        attribution_path=args.attribution_out, ledger_path=args.ledger,
+    )
+    report = run_system(graph, request, context=context)
 
     for key, value in report.summary().items():
         print(f"{key}: {value}")
@@ -442,15 +434,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.core.context import RunContext, RunRequest
     from repro.core.system import compare_systems
 
     graph, spec = _load(args.dataset, args.algorithm, args.scale)
     cmp = compare_systems(
-        graph, args.algorithm,
+        graph, RunRequest(args.algorithm, dataset=spec.name),
         baseline_config=SimConfig.scaled_baseline(num_cores=args.cores),
         omega_config=SimConfig.scaled_omega(num_cores=args.cores),
-        dataset=spec.name,
-        cache=_resolve_cache(args),
+        context=RunContext.from_env(cache=_resolve_cache(args)),
     )
     for key, value in cmp.summary().items():
         print(f"{key}: {value}")
@@ -465,7 +457,7 @@ def _cmd_sweep(args) -> int:
         save_rows_json,
     )
     from repro.bench.tables import format_table
-    from repro.memsim.engine import get_backend
+    from repro.memsim.backends import get_backend
 
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     datasets = [d.strip() for d in args.datasets.split(",") if d.strip()]
@@ -676,16 +668,16 @@ def _kernel_lines(kern):
 
 
 def _cmd_history(args) -> int:
+    from repro.core.context import ledger_path_from_env
     from repro.obs import (
         diff_manifests,
         filter_entries,
         format_history,
         format_report,
         read_entries,
-        resolve_ledger_path,
     )
 
-    path = resolve_ledger_path(args.ledger)
+    path = args.ledger or ledger_path_from_env()
     if path is None:
         raise ReproError(
             "no ledger given: pass --ledger PATH or set REPRO_LEDGER"

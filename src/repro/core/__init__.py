@@ -37,8 +37,6 @@ from repro.core.system import (
     compare_systems,
     estimate_system,
     run_backends,
-    run_graphpim,
-    run_locked_cache,
     run_system,
 )
 from repro.memsim.mapping import ScratchpadMapping
@@ -73,8 +71,6 @@ __all__ = [
     "compare_systems",
     "estimate_system",
     "run_backends",
-    "run_graphpim",
-    "run_locked_cache",
     "run_system",
     "ScratchpadMapping",
 ]

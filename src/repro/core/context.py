@@ -1,47 +1,36 @@
 """Explicit run configuration: :class:`RunContext` and :class:`RunRequest`.
 
-Historically every layer of the pipeline resolved its own ambient
-state at a different depth: the trace store through process globals
-(``set_store``/``use_store``) or ``REPRO_CACHE_DIR``, the streaming
-segment size from ``REPRO_SEGMENT_EVENTS``, attribution from
-``REPRO_ATTRIBUTION``, the run ledger from ``REPRO_LEDGER``, and the
-scalar-cache escape hatch from ``REPRO_SCALAR_CACHE`` — read *inside*
-``CacheSystem.__init__`` on the replay hot path. Two concurrent
-in-process runs could therefore observe each other's configuration.
+The drivers in :mod:`repro.core.system` take exactly these two values:
 
-This module makes the configuration a value instead of an ambient:
+- :class:`RunRequest` says *what* to run — algorithm, backend,
+  dataset label, scheduling, output paths, algorithm kwargs — as one
+  serializable value, so a sweep worker or a ``repro serve`` job can
+  carry the complete run description across a process or socket
+  boundary.
+- :class:`RunContext` says *with which surroundings* — store handle,
+  segment size, attribution flag, ledger path, scalar-oracle flag, obs
+  sinks. It is a frozen snapshot: threads can each carry their own
+  context, and nothing a concurrent run does can change it.
 
-- :class:`RunContext` is a frozen snapshot of everything a run reads
-  from its surroundings (store handle, segment size, attribution flag,
-  ledger path, scalar-cache flag, obs sinks). Threads can each carry
-  their own context; nothing a concurrent run does can change it.
-- :meth:`RunContext.from_env` is the **only** place in ``src/repro``
-  allowed to read ``REPRO_*`` environment variables (machine-enforced
-  by the ENV001 lint rule). The legacy ambient accessors —
-  ``repro.store.get_store``, ``repro.obs.ledger.resolve_ledger_path``,
-  ``repro.memsim.cachestate.scalar_cache_forced`` — survive as thin
-  deprecated veneers that delegate to the ``*_from_env`` helpers here.
-- :class:`RunRequest` absorbs :func:`repro.core.system.run_system`'s
-  sprawling per-run keyword arguments into one serializable value, so
-  a sweep worker or a ``repro serve`` job can carry the complete run
-  description across a process or socket boundary.
-
-``set_store(None)`` semantics are preserved explicitly: an installed
-ambient store *pins* the resolution (installing ``None`` pins caching
-off), and :meth:`RunContext.from_env` honours the pin before falling
-back to ``REPRO_CACHE_DIR``.
+:meth:`RunContext.from_env` is the **only** place in ``src/repro``
+that reads ``REPRO_*`` environment variables (machine-enforced by the
+ENV001 lint rule) and the only code that resolves the trace store and
+the scalar-oracle flag. Both values check their fields on
+construction and reject a bad one with a
+:class:`~repro.errors.SimulationError` naming the field.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, NoReturn, Optional, Sequence, Union
 
 from repro.errors import SimulationError
 from repro.obs.ledger import ENV_LEDGER
 from repro.store import TraceStore
-from repro.store.store import ENV_CACHE_CAPACITY_MB, ENV_CACHE_DIR, installed_store
+from repro.store.store import ENV_CACHE_CAPACITY_MB, ENV_CACHE_DIR
 
 __all__ = [
     "ENV_SEGMENT_EVENTS",
@@ -72,9 +61,39 @@ ENV_SCALAR_CACHE = "REPRO_SCALAR_CACHE"
 #: Values of :data:`ENV_ATTRIBUTION` that mean "on".
 _TRUTHY = ("1", "true", "on", "yes")
 
+#: :class:`RunRequest` fields that name an output file.
+_PATH_FIELDS = (
+    "manifest_path", "trace_path", "timeline_path", "attribution_path",
+)
+
 
 def _environ(environ: Optional[Mapping[str, str]]) -> Mapping[str, str]:
     return os.environ if environ is None else environ
+
+
+def _reject(name: str, value: Any, expected: str) -> NoReturn:
+    raise SimulationError(f"{name} must be {expected}, got {value!r}")
+
+
+def _check_int(name: str, value: Any, minimum: int,
+               optional: bool = True) -> None:
+    if value is None and optional:
+        return
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        _reject(name, value, f"an integer >= {minimum}"
+                + (" or None" if optional else ""))
+
+
+def _check_flag(name: str, value: Any) -> None:
+    if value not in (True, False):
+        _reject(name, value, "a bool")
+
+
+def _check_choice(name: str, value: Any, known: Sequence[str]) -> None:
+    if value not in known:
+        raise SimulationError(
+            f"unknown {name} {value!r}; available: {', '.join(known)}"
+        )
 
 
 def cache_capacity_from_env(
@@ -90,9 +109,14 @@ def cache_capacity_from_env(
 def store_from_env(
     environ: Optional[Mapping[str, str]] = None,
 ) -> Optional[TraceStore]:
-    """The store ``REPRO_CACHE_DIR`` names, or ``None`` (caching off)."""
+    """The store ``REPRO_CACHE_DIR`` names, or ``None`` (caching off).
+
+    Its capacity is ``REPRO_CACHE_CAPACITY_MB`` when that is set.
+    """
     root = _environ(environ).get(ENV_CACHE_DIR)
-    return TraceStore(root) if root else None
+    if not root:
+        return None
+    return TraceStore(root, capacity_bytes=cache_capacity_from_env(environ))
 
 
 def segment_events_from_env(
@@ -140,35 +164,62 @@ def scalar_cache_from_env(
 
 @dataclass(frozen=True)
 class RunContext:
-    """Immutable snapshot of a run's ambient configuration.
+    """Immutable snapshot of a run's surroundings.
 
     Construct one per logical run (or per worker thread) and pass it
-    to ``run_system(..., context=...)``. A context is never mutated
-    after construction — derive variants with :meth:`with_options` —
-    so concurrent runs in one process cannot observe each other's
+    to a driver's ``context=``. A context is never mutated after
+    construction — derive variants with :meth:`with_options` — so
+    concurrent runs in one process cannot observe each other's
     configuration, which is exactly the property ``repro serve``'s
-    worker threads rely on.
+    worker threads rely on. A given context is authoritative: no
+    environment variable is read anywhere in a run that carries one.
     """
 
-    #: Trace store handle, or ``None`` for caching off. Unlike the
-    #: deprecated ``set_store``/``use_store`` globals this is per-run
-    #: state; ``None`` here is the explicit analogue of
-    #: ``set_store(None)`` (caching pinned off for this run).
+    #: Trace store handle, or ``None`` for caching off. A warm hit
+    #: skips reorder and algorithm execution and yields bit-identical
+    #: simulated counters. Build one from a path with
+    #: ``TraceStore(path)`` or ``RunContext.from_env(cache=path)``.
     store: Optional[TraceStore] = None
-    #: Out-of-core streaming segment size (``None`` = whole-trace).
+    #: Out-of-core streaming segment size in trace events (``None`` =
+    #: whole-trace in-core). When set the whole pipeline runs with
+    #: bounded resident memory: generation spools completed barrier
+    #: spans to a segmented archive, a warm store hit streams segments
+    #: without rehydrating the trace, and replay consumes one segment
+    #: at a time. Simulated counters are bit-identical to the in-core
+    #: run.
     segment_events: Optional[int] = None
-    #: Fold per-class traffic attribution during the replay.
+    #: Fold per-class traffic attribution during the replay: every
+    #: event resolves to its graph entity (vertex properties by degree
+    #: stratum, CSR offsets/edges, frontier) and the per-class counters
+    #: — conserved bit-identically against the aggregate ``MemStats`` —
+    #: land in the manifest's ``attribution`` block and (when tracing)
+    #: as Perfetto counter tracks.
     attribution: bool = False
-    #: Run-ledger JSONL file to append to (``None`` = off).
-    ledger_path: Optional[str] = None
-    #: Force the scalar reference cache oracle instead of the batch
-    #: kernel (the ``REPRO_SCALAR_CACHE`` escape hatch, made explicit).
+    #: Run-ledger JSONL file: after the run, append one entry — the
+    #: manifest keyed by trace-store key, config hash and git revision
+    #: (see :mod:`repro.obs.ledger` and ``repro history``). ``None`` =
+    #: off.
+    ledger_path: Optional[Union[str, os.PathLike]] = None
+    #: Replay the cache path through the scalar reference oracle
+    #: instead of the compiled kernel (``REPRO_SCALAR_CACHE=1``).
     scalar_cache: bool = False
     #: Obs sinks: a :class:`repro.obs.SpanTracer` and a
     #: :class:`repro.obs.MetricsRegistry`. ``None`` falls back to the
     #: thread's installed sink (no-op by default).
     tracer: Optional[Any] = None
     metrics: Optional[Any] = None
+
+    def __post_init__(self) -> None:
+        if self.store is not None and not isinstance(self.store, TraceStore):
+            _reject("store", self.store, "a TraceStore or None (for a path,"
+                    " use RunContext.from_env(cache=path))")
+        _check_int("segment_events", self.segment_events, 1)
+        _check_flag("attribution", self.attribution)
+        _check_flag("scalar_cache", self.scalar_cache)
+        if self.ledger_path is not None and not isinstance(
+            self.ledger_path, (str, os.PathLike)
+        ):
+            _reject("ledger_path", self.ledger_path, "a path or None")
 
     @classmethod
     def from_env(
@@ -191,12 +242,11 @@ class RunContext:
         parameter is an explicit override that wins over the
         environment; ``None`` means "consult the environment":
 
-        - ``cache`` follows the legacy ``run_system(cache=...)``
-          contract: ``False`` disables caching, a path or
-          :class:`~repro.store.TraceStore` selects a store, and
-          ``None``/``True`` resolve the ambient store — an explicitly
-          installed ``set_store``/``use_store`` value (including the
-          pinned-off ``set_store(None)``) wins over ``REPRO_CACHE_DIR``.
+        - ``cache``: ``False`` disables caching, a path selects a
+          :class:`~repro.store.TraceStore` there (capped at
+          ``REPRO_CACHE_CAPACITY_MB`` when set), a store is used as is,
+          and ``None``/``True`` resolve ``REPRO_CACHE_DIR``.
+        - ``segment_events``: 0 and negative values mean off.
         - ``attribution_path`` implies ``attribution=True`` unless
           ``attribution`` explicitly disables it.
         - ``environ`` substitutes a mapping for ``os.environ`` (tests).
@@ -207,30 +257,27 @@ class RunContext:
         elif isinstance(cache, TraceStore):
             store = cache
         elif isinstance(cache, (str, os.PathLike)):
-            store = TraceStore(cache)
+            store = TraceStore(
+                cache, capacity_bytes=cache_capacity_from_env(environ)
+            )
         else:
-            installed, ambient = installed_store()
-            store = ambient if installed else store_from_env(environ)
+            store = store_from_env(environ)
 
         if segment_events is None:
             segment_events = segment_events_from_env(environ)
-        elif int(segment_events) <= 0:
+        elif isinstance(segment_events, numbers.Integral) \
+                and segment_events <= 0:
             segment_events = None
-        else:
-            segment_events = int(segment_events)
 
         if attribution is None:
-            want_attribution = (
-                True if attribution_path is not None
-                else attribution_from_env(environ)
+            attribution = (
+                attribution_path is not None or attribution_from_env(environ)
             )
-        else:
-            want_attribution = bool(attribution)
 
         if ledger_path is None:
-            resolved_ledger = ledger_path_from_env(environ)
+            ledger_path = ledger_path_from_env(environ)
         else:
-            resolved_ledger = os.fspath(ledger_path)
+            ledger_path = os.fspath(ledger_path)
 
         if scalar_cache is None:
             scalar_cache = scalar_cache_from_env(environ)
@@ -238,9 +285,9 @@ class RunContext:
         return cls(
             store=store,
             segment_events=segment_events,
-            attribution=want_attribution,
-            ledger_path=resolved_ledger,
-            scalar_cache=bool(scalar_cache),
+            attribution=attribution,
+            ledger_path=ledger_path,
+            scalar_cache=scalar_cache,
             tracer=tracer,
             metrics=metrics,
         )
@@ -267,7 +314,10 @@ class RunContext:
             ),
             "segment_events": self.segment_events,
             "attribution": self.attribution,
-            "ledger_path": self.ledger_path,
+            "ledger_path": (
+                None if self.ledger_path is None
+                else os.fspath(self.ledger_path)
+            ),
             "scalar_cache": self.scalar_cache,
         }
 
@@ -301,33 +351,89 @@ class RunContext:
 class RunRequest:
     """One run's workload description, as a serializable value.
 
-    Absorbs the per-run keyword arguments of
-    :func:`repro.core.system.run_system` (the legacy kwargs remain as
-    a thin compatibility shim). Environment-derived configuration does
-    *not* live here — that is :class:`RunContext` — so a request says
-    *what* to run and a context says *with which surroundings*.
-
-    ``config`` stays a separate ``run_system`` argument (it is a rich
-    object); when omitted, the driver derives it from ``backend`` and
-    ``num_cores`` via
+    A request says *what* to run and a :class:`RunContext` *with which
+    surroundings*. ``config`` stays a separate driver argument (it is
+    a rich object); when omitted, the driver derives it from
+    ``backend`` and ``num_cores`` via
     :func:`repro.core.system.default_backend_config`.
     """
 
+    #: Registered algorithm name (see :mod:`repro.algorithms.registry`).
     algorithm: str
+    #: Registered hierarchy-backend name (``baseline``, ``omega``,
+    #: ``locked``, ``graphpim``, ``dynamic``, or an extension registered
+    #: via :func:`repro.memsim.backends.register_backend`). ``None``
+    #: infers it from the config: ``config.use_scratchpad`` selects
+    #: OMEGA, otherwise the baseline CMP (OMEGA without a config).
     backend: Optional[str] = None
+    #: Label recorded in the report.
     dataset: str = ""
-    #: OpenMP static-schedule chunk (mirrors ``DEFAULT_CHUNK_SIZE``).
+    #: OpenMP static-schedule chunk for the engine (mirrors
+    #: ``DEFAULT_CHUNK_SIZE``).
     chunk_size: Optional[int] = 32
+    #: Scratchpad-mapping chunk; ``None`` uses ``chunk_size`` (the
+    #: matched configuration of Section V-D). A different value
+    #: reproduces the mismatch experiment.
     sp_chunk_size: Optional[int] = None
+    #: Apply nth-element in-degree reordering before running. ``None``
+    #: defaults per backend: on for OMEGA and the locked cache (their
+    #: required preprocessing), off for the baseline, GraphPIM and the
+    #: dynamic scratchpad (which run the original ordering).
     reorder: Optional[bool] = None
-    #: Used only when the driver must derive a default config.
+    #: Core count of the default config; used only when the driver must
+    #: derive one.
     num_cores: int = 16
+    #: Write the run manifest
+    #: (:meth:`~repro.core.report.SimReport.manifest`) as JSON here.
     manifest_path: Optional[str] = None
+    #: Record nested phase spans (graph reorder → trace generation →
+    #: per-edgeMap sweeps → replay windows) and write them as Chrome
+    #: trace-event JSON here (viewable in Perfetto). A tracer already
+    #: installed via :func:`repro.obs.use_tracer` is reused instead.
     trace_path: Optional[str] = None
+    #: Sample the replay every ``obs_window`` events and write the
+    #: windowed metrics timeline here (columnar JSON, or CSV when the
+    #: path ends in ``.csv``).
     timeline_path: Optional[str] = None
+    #: Replay sampling window in trace events. ``None`` disables
+    #: sampling unless ``timeline_path`` is given; 0 auto-sizes for
+    #: about 64 windows.
     obs_window: Optional[int] = None
+    #: Write the attribution block as standalone JSON here (a context
+    #: built by the driver then turns attribution on).
     attribution_path: Optional[str] = None
+    #: Extra arguments for the algorithm runner (source vertex, etc.);
+    #: each name must be a parameter of the registered runner.
     alg_kwargs: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        from repro.algorithms.registry import ALGORITHMS, runner_kwargs
+        from repro.memsim.backends import backend_names
+
+        _check_choice("algorithm", self.algorithm, list(ALGORITHMS))
+        if self.backend is not None:
+            _check_choice("backend", self.backend, backend_names())
+        _check_int("chunk_size", self.chunk_size, 1)
+        _check_int("sp_chunk_size", self.sp_chunk_size, 1)
+        if self.reorder is not None:
+            _check_flag("reorder", self.reorder)
+        _check_int("num_cores", self.num_cores, 1, optional=False)
+        for name in _PATH_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (str, os.PathLike)):
+                _reject(name, value, "a path or None")
+        _check_int("obs_window", self.obs_window, 0)
+        if not isinstance(self.alg_kwargs, Mapping):
+            _reject("alg_kwargs", self.alg_kwargs, "a mapping")
+        accepted = runner_kwargs(self.algorithm)
+        unknown = sorted(set(self.alg_kwargs) - set(accepted))
+        if unknown:
+            raise SimulationError(
+                f"alg_kwargs: {self.algorithm} takes no argument"
+                f" {', '.join(map(repr, unknown))};"
+                f" accepted: {', '.join(accepted) or 'none'}"
+            )
+        object.__setattr__(self, "alg_kwargs", dict(self.alg_kwargs))
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form (for sweep payloads and serve job specs)."""
@@ -359,5 +465,6 @@ class RunRequest:
         fields = {k: doc[k] for k in known if k in doc}
         if "algorithm" not in fields:
             raise SimulationError("RunRequest needs an 'algorithm'")
-        fields["alg_kwargs"] = dict(fields.get("alg_kwargs") or {})
+        if fields.get("alg_kwargs") is None:
+            fields["alg_kwargs"] = {}
         return cls(**fields)

@@ -44,18 +44,10 @@ class HierarchyBackend:
     #: Registry name; set by :func:`register_backend`.
     name = "?"
 
-    #: Debug/benchmark escape hatch: force the per-event scalar cache
-    #: loop even when the config qualifies for the batch kernel.
-    force_scalar_cache = False
-
-    #: Context-threaded scalar-cache flag: ``run_system`` copies its
-    #: :class:`repro.core.context.RunContext.scalar_cache` here so the
-    #: replay driver constructs the :class:`CacheSystem` without any
-    #: ambient (environment) read on the hot path. ``None`` means
-    #: "no context" — the cache system then falls back to the
-    #: deprecated ``scalar_cache_forced()`` veneer; ``force_scalar_cache``
-    #: above still wins over both.
-    scalar_cache: Optional[bool] = None
+    #: Replay the cache path through the scalar reference oracle
+    #: instead of the compiled kernel; the drivers copy
+    #: :attr:`repro.core.context.RunContext.scalar_cache` here.
+    scalar_cache: bool = False
 
     #: Off-chip bytes charged per in-memory atomic (non-zero only for
     #: PIM-style backends); read by the attribution accumulator so its

@@ -17,7 +17,7 @@ class BaselineBackend(HierarchyBackend):
     def __init__(self, config: SimConfig, dram_random_ranges=()) -> None:
         if config.use_scratchpad:
             raise SimulationError(
-                "BaselineHierarchy requires a config without scratchpads"
+                "BaselineBackend requires a config without scratchpads"
             )
         super().__init__(config)
         #: (start, end) address ranges served close-page under the

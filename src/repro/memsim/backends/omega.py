@@ -40,7 +40,7 @@ class OmegaBackend(HierarchyBackend):
     ) -> None:
         if not config.use_scratchpad:
             raise SimulationError(
-                "OmegaHierarchy requires a config with use_scratchpad=True"
+                "OmegaBackend requires a config with use_scratchpad=True"
             )
         super().__init__(config)
         self.mapping = mapping

@@ -9,9 +9,9 @@ paths:
 - the **scalar oracle** (:meth:`CacheSystem.access`, driven by
   :meth:`CacheSystem._replay_generic`): one event per Python
   iteration over the :class:`Cache` / :class:`Directory` /
-  :class:`StreamDetector` objects, the seed semantics. Forced with
-  ``REPRO_SCALAR_CACHE=1`` or ``HierarchyBackend.force_scalar_cache``,
-  and the fallback when the compiled kernel cannot be built.
+  :class:`StreamDetector` objects, the seed semantics. Selected by
+  ``scalar_cache=True`` (a run's ``RunContext.scalar_cache``), and
+  the fallback when the compiled kernel cannot be built.
 - the **compiled kernel** (:meth:`CacheSystem._replay_compiled`): the
   whole batch in one C call over flat array state
   (:mod:`repro.memsim.ckernel`); Python folds its counter deltas into
@@ -43,28 +43,8 @@ __all__ = [
     "CacheRecord",
     "CacheSystem",
     "KernelTelemetry",
-    "SCALAR_CACHE_ENV",
     "iter_set_bits",
-    "scalar_cache_forced",
 ]
-
-#: Environment variable forcing the scalar reference oracle.
-SCALAR_CACHE_ENV = "REPRO_SCALAR_CACHE"
-
-
-def scalar_cache_forced() -> bool:
-    """Whether ``REPRO_SCALAR_CACHE=1`` selects the scalar oracle.
-
-    Deprecated ambient veneer: the environment read delegates to
-    :func:`repro.core.context.scalar_cache_from_env`. Runs driven
-    through ``run_system`` resolve the flag once on their
-    :class:`repro.core.context.RunContext` and pass it explicitly, so
-    this is only consulted when :class:`CacheSystem` is constructed
-    without an explicit ``scalar_cache`` argument.
-    """
-    from repro.core.context import scalar_cache_from_env
-
-    return scalar_cache_from_env()
 
 
 class CacheRecord:
@@ -134,15 +114,14 @@ class CacheSystem:
     Exposes both the scalar :meth:`access` (seed semantics, the
     reference oracle) and :meth:`replay_cache_path`, which replays a
     whole batch through the compiled kernel. ``fast_path_ok`` selects
-    the kernel; it starts ``False`` only when ``REPRO_SCALAR_CACHE=1``
-    is set, backends flip it off for ``force_scalar_cache``, and it
-    drops to ``False`` at the first :meth:`kernel_lib` call when the
+    the kernel; it starts ``False`` only for ``scalar_cache=True``, and
+    it drops to ``False`` at the first :meth:`kernel_lib` call when the
     kernel cannot be built.
     """
 
     def __init__(self, config: SimConfig, stats: MemStats,
                  dram: DramModel, crossbar: Crossbar,
-                 scalar_cache: Optional[bool] = None) -> None:
+                 scalar_cache: bool = False) -> None:
         ncores = config.core.num_cores
         self.config = config
         self.stats = stats
@@ -157,10 +136,6 @@ class CacheSystem:
         self.geometry = BankGeometry(
             num_banks=ncores, line_bytes=config.l1.line_bytes
         )
-        # Kept as attributes for backward compatibility; all derived
-        # from the shared BankGeometry helper.
-        self.bank_mask = self.geometry.bank_mask
-        self.bank_bits = self.geometry.bank_bits
         self.line_bytes = self.geometry.line_bytes
         self.line_bits = self.geometry.line_bits
         self.l1_lat = config.l1.latency_cycles
@@ -172,13 +147,7 @@ class CacheSystem:
         self.prefetcher = StreamDetector(ncores)
         #: Whether replay_cache_path may use the compiled kernel. The
         #: kernel covers every topology and page policy; only the
-        #: escape hatches (or a missing compiler) disable it.
-        #: ``scalar_cache`` is threaded
-        #: from the run's :class:`repro.core.context.RunContext`;
-        #: ``None`` (direct construction) falls back to the deprecated
-        #: ambient :func:`scalar_cache_forced` veneer.
-        if scalar_cache is None:
-            scalar_cache = scalar_cache_forced()
+        #: scalar oracle (or a missing compiler) disables it.
         self.fast_path_ok = not scalar_cache
         #: Batch/event counts over every kernel batch this system
         #: replays (see :class:`KernelTelemetry`).
@@ -221,8 +190,8 @@ class CacheSystem:
             self.directory.on_eviction(dirty_victim, core)
 
         # L2 lookup at the line's home bank.
-        bank = line & self.bank_mask
-        bank_key = line >> self.bank_bits
+        bank = self.geometry.bank_of(line)
+        bank_key = self.geometry.bank_key_of(line)
         if bank != core:
             latency += self.crossbar.line_transfer(self.line_bytes, core, bank)
             stats.onchip_line_bytes += (
@@ -267,8 +236,8 @@ class CacheSystem:
 
     def _writeback_to_l2(self, line: int, core: int) -> None:
         """Write a dirty L1 victim back to its L2 bank."""
-        bank = line & self.bank_mask
-        bank_key = line >> self.bank_bits
+        bank = self.geometry.bank_of(line)
+        bank_key = self.geometry.bank_key_of(line)
         if bank != core:
             self.crossbar.line_transfer(self.line_bytes, core, bank)
             self.stats.onchip_line_bytes += (

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.config import SimConfig
-from repro.memsim.hierarchy import ReplayOutput
+from repro.memsim.replay import ReplayOutput
 
 __all__ = ["TimingResult", "compute_timing"]
 

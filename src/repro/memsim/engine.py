@@ -1,87 +1,12 @@
-"""Compatibility shim over the layered replay-engine package.
+"""Backend lookup under its historical module path.
 
-The engine used to live here as one module; it is now split by layer:
-
-- :mod:`repro.memsim.cachestate` — the stateful cache path
-  (:class:`CacheSystem`: array-state set-associative model, the batch
-  kernel, and the scalar reference oracle behind
-  ``REPRO_SCALAR_CACHE=1``);
-- :mod:`repro.memsim.routes` — ``ROUTE_*`` codes, vectorized transfer
-  latencies, masked-route windowing;
-- :mod:`repro.memsim.accounting` — :class:`ReplayContext` and the
-  batch (bincount) accounting helpers;
-- :mod:`repro.memsim.backends` — one module per hierarchy variant
-  plus the registry;
-- :mod:`repro.memsim.replay` — the thin driver
-  (:func:`repro.memsim.replay.run_replay`).
-
-Every public name that lived here re-exports unchanged, so
-``from repro.memsim.engine import HierarchyBackend, get_backend, ...``
-keeps working; new code should import from the layer modules.
+The replay engine lives in the layer modules (:mod:`repro.memsim.backends`,
+:mod:`repro.memsim.replay`, :mod:`repro.memsim.cachestate`, ...); import
+from those. This module survives only because the performance harness
+(``perfbench/harness.py``) imports ``backend_names`` and ``get_backend``
+from here to find every backend's ``route``/``account`` to time.
 """
 
-from __future__ import annotations
+from repro.memsim.backends import backend_names, get_backend
 
-import logging
-
-from repro.memsim.accounting import (
-    ReplayContext,
-    account_latencies as _account_latencies,
-    account_offload as _account_offload,
-    account_sp_plain as _account_sp_plain,
-    account_sp_rmw as _account_sp_rmw,
-    add_core_sums as _add_core_sums,
-)
-from repro.memsim.backends import (
-    BACKENDS,
-    BaselineBackend,
-    DynamicScratchpadBackend,
-    GraphPimBackend,
-    HierarchyBackend,
-    LockedCacheBackend,
-    OmegaBackend,
-    PimConfig,
-    backend_names,
-    get_backend,
-    register_backend,
-)
-from repro.memsim.backends.omega import srcbuf_stage as _srcbuf_stage
-from repro.memsim.cachestate import CacheSystem as _CacheSystem
-from repro.memsim.replay import ReplayOutput
-from repro.memsim.routes import (
-    ROUTE_CACHE,
-    ROUTE_LOCKED,
-    ROUTE_MASKED as _ROUTE_MASKED,
-    ROUTE_PIM,
-    ROUTE_SP_OFFLOAD,
-    ROUTE_SP_PLAIN,
-    ROUTE_SP_RMW,
-    ROUTE_SRCBUF_HIT,
-    transfer_latency_many,
-)
-
-__all__ = [
-    "ReplayOutput",
-    "ReplayContext",
-    "HierarchyBackend",
-    "BaselineBackend",
-    "OmegaBackend",
-    "LockedCacheBackend",
-    "GraphPimBackend",
-    "DynamicScratchpadBackend",
-    "PimConfig",
-    "BACKENDS",
-    "register_backend",
-    "get_backend",
-    "backend_names",
-    "transfer_latency_many",
-    "ROUTE_CACHE",
-    "ROUTE_SP_PLAIN",
-    "ROUTE_SP_RMW",
-    "ROUTE_SP_OFFLOAD",
-    "ROUTE_SRCBUF_HIT",
-    "ROUTE_LOCKED",
-    "ROUTE_PIM",
-]
-
-_LOG = logging.getLogger("repro.memsim.engine")
+__all__ = ["backend_names", "get_backend"]

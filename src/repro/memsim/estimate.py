@@ -24,8 +24,8 @@ alone:
 Step 2 runs as one C pass in trace order (``estimate_batch`` in
 ``ckernel.c``: per slot, a ring of the lines of its last ``ways``
 accesses) whenever the cache path runs compiled. Under the
-scalar oracle — ``REPRO_SCALAR_CACHE``, ``force_scalar_cache`` or no C
-compiler — :func:`predict_reuse_gaps` computes the same counts with
+scalar oracle — ``RunContext.scalar_cache`` (``REPRO_SCALAR_CACHE``)
+or no C compiler — :func:`predict_reuse_gaps` computes the same counts with
 numpy sorts (:func:`predict_slot_hits`); the parity suite holds the
 two equal at tolerance 0.
 
@@ -272,11 +272,7 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     dram.set_random_ranges(backend.dram_random_ranges)
     crossbar = Crossbar(config.interconnect, ncores)
     system = CacheSystem(
-        config, stats, dram, crossbar,
-        scalar_cache=(
-            True if backend.force_scalar_cache
-            else getattr(backend, "scalar_cache", None)
-        ),
+        config, stats, dram, crossbar, scalar_cache=backend.scalar_cache
     )
     ctx = ReplayContext(
         config=config, stats=stats, dram=dram, crossbar=crossbar,

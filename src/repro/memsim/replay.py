@@ -50,7 +50,7 @@ from repro.obs.timeline import ReplaySampler
 
 __all__ = ["ReplayOutput", "run_replay", "run_replay_segments"]
 
-_LOG = logging.getLogger("repro.memsim.engine")
+_LOG = logging.getLogger("repro.memsim.replay")
 
 
 @dataclass
@@ -179,11 +179,7 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
         dram.set_random_ranges(backend.dram_random_ranges)
         crossbar = Crossbar(config.interconnect, ncores)
         system = CacheSystem(
-            config, stats, dram, crossbar,
-            scalar_cache=(
-                True if backend.force_scalar_cache
-                else getattr(backend, "scalar_cache", None)
-            ),
+            config, stats, dram, crossbar, scalar_cache=backend.scalar_cache
         )
         ledger = LatencyLedger(ncores)
         ctx = ReplayContext(

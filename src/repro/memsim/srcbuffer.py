@@ -12,7 +12,7 @@ Replays walk the buffers in C (``srcbuf_walk`` in ``ckernel.c``, over
 :class:`repro.memsim.ckernel.FlatSourceBuffers`) whenever the cache
 path runs compiled. This class is the reference those walks are held
 to at tolerance 0, and the buffer the walk uses under the scalar
-oracle (``REPRO_SCALAR_CACHE``, ``force_scalar_cache``, no compiler).
+oracle (``RunContext.scalar_cache``, no compiler).
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ directly from the route codes, mirroring
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np

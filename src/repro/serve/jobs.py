@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.context import RunRequest
 from repro.errors import SimulationError
 from repro.store.store import normalize_kwargs
 
@@ -124,26 +125,21 @@ class JobSpec:
         """Reject a spec the replay could not run, naming the field.
 
         Checked where requests enter, so a bad spec is a 400 and never
-        a failed job: known dataset/algorithm/backend names, a finite
-        positive ``scale``, a power-of-two ``num_cores`` in
-        1..:data:`~repro.config.MAX_CORES` (one bank per core, and the
-        coherence directory's sharer mask is one 64-bit word), and
-        ``chunk_size >= 1``.
+        a failed job: a known dataset name, a finite positive ``scale``,
+        a power-of-two ``num_cores`` in 1..:data:`~repro.config.MAX_CORES`
+        (one bank per core, and the coherence directory's sharer mask is
+        one 64-bit word), and whatever :class:`RunRequest` checks
+        (algorithm, backend, ``chunk_size``, ``alg_kwargs``).
         """
-        from repro.algorithms.registry import ALGORITHMS
         from repro.config import MAX_CORES
         from repro.graph.datasets import DATASETS
-        from repro.memsim.engine import backend_names
 
-        for name, value, known in (
-            ("dataset", self.dataset, sorted(DATASETS)),
-            ("algorithm", self.algorithm, sorted(ALGORITHMS)),
-            ("backend", self.backend, backend_names()),
-        ):
-            if value not in known:
-                raise SimulationError(
-                    f"unknown {name} {value!r}; available: {', '.join(known)}"
-                )
+        if self.dataset not in DATASETS:
+            raise SimulationError(
+                f"unknown dataset {self.dataset!r};"
+                f" available: {', '.join(sorted(DATASETS))}"
+            )
+        self.request()
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise SimulationError(
                 f"scale must be a finite number > 0, got {self.scale!r}"
@@ -154,10 +150,14 @@ class JobSpec:
                 f"num_cores must be a power of two in 1..{MAX_CORES},"
                 f" got {cores!r}"
             )
-        if self.chunk_size < 1:
-            raise SimulationError(
-                f"chunk_size must be >= 1, got {self.chunk_size!r}"
-            )
+
+    def request(self) -> RunRequest:
+        """The :class:`RunRequest` this spec runs."""
+        return RunRequest(
+            self.algorithm, backend=self.backend, dataset=self.dataset,
+            chunk_size=self.chunk_size, num_cores=self.num_cores,
+            alg_kwargs=self.alg_kwargs,
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -12,10 +12,12 @@ onto :func:`repro.core.system.run_system`.
 API (all JSON):
 
 - ``POST /v1/jobs`` — body is a :class:`JobSpec` dict, plus optional
-  ``"wait": true`` to block until the manifest is ready. Responses:
-  ``200`` (warm, or ``wait`` completed), ``202`` (job accepted; body
-  carries ``job_id`` and ``state`` = ``cold``/``coalesced``), ``429``
-  (queue full — retry later), ``400`` (bad spec).
+  ``"wait": true`` to block until the job finishes. Responses:
+  ``200`` (warm, or ``wait`` saw the job finish — ``status`` is
+  ``done`` with the manifest or ``failed`` with its error), ``202``
+  (job accepted, or a ``wait`` timed out with the job still running;
+  body carries ``job_id`` and ``state`` = ``cold``/``coalesced``),
+  ``429`` (queue full — retry later), ``400`` (bad spec).
 - ``GET /v1/jobs/<id>`` — job status: ``status``, ``progress`` (span
   names from the run's tracer, streamed as the replay advances),
   ``manifest`` when done, ``error`` when failed.
@@ -38,7 +40,7 @@ from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
-from repro.core.context import RunContext, RunRequest
+from repro.core.context import RunContext
 from repro.errors import SimulationError
 from repro.obs.tracer import SpanTracer
 from repro.serve.jobs import JobManager, JobSpec, QueueFullError
@@ -101,12 +103,8 @@ def make_system_runner(
     def runner(
         spec: JobSpec, progress: Callable[[str], None]
     ) -> Dict[str, Any]:
-        info = ALGORITHMS.get(spec.algorithm)
-        if info is None:
-            raise SimulationError(
-                f"unknown algorithm {spec.algorithm!r};"
-                f" available: {', '.join(ALGORITHMS)}"
-            )
+        request = spec.request()
+        info = ALGORITHMS[spec.algorithm]
         progress("load_dataset")
         graph, _ = load_dataset(
             spec.dataset, scale=spec.scale, weighted=info.requires_weights
@@ -114,14 +112,6 @@ def make_system_runner(
         if info.requires_undirected and graph.directed:
             graph = graph.as_undirected()
         context = replace(base_context, tracer=_ProgressTracer(progress))
-        request = RunRequest(
-            algorithm=spec.algorithm,
-            backend=spec.backend,
-            dataset=spec.dataset,
-            chunk_size=spec.chunk_size,
-            num_cores=spec.num_cores,
-            alg_kwargs=dict(spec.alg_kwargs),
-        )
         report = run_system(graph, request=request, context=context)
         return report.manifest()
 
@@ -226,11 +216,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, {"state": "warm", "manifest": manifest})
             return
         assert job is not None
-        if doc.get("wait"):
-            manager.wait(job, timeout=WAIT_TIMEOUT_SECONDS)
+        if doc.get("wait") and manager.wait(job, timeout=WAIT_TIMEOUT_SECONDS):
+            # Finished either way: done carries the manifest, failed
+            # its error — the snapshot a status poll would return.
             snap = job.snapshot()
             snap["state"] = state
-            self._reply(200 if job.status == "done" else 500, snap)
+            self._reply(200, snap)
             return
         self._reply(202, {"state": state, "job_id": job.id})
 

@@ -12,14 +12,8 @@ from repro.store.store import (
     SIDECAR_VERSION,
     StoreEntry,
     TraceStore,
-    get_store,
-    installed_store,
     normalize_kwargs,
-    reset_store,
-    resolve_store,
-    set_store,
     trace_key,
-    use_store,
 )
 
 __all__ = [
@@ -29,12 +23,6 @@ __all__ = [
     "SIDECAR_VERSION",
     "StoreEntry",
     "TraceStore",
-    "get_store",
-    "installed_store",
     "normalize_kwargs",
-    "reset_store",
-    "resolve_store",
-    "set_store",
     "trace_key",
-    "use_store",
 ]

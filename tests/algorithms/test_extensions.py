@@ -106,11 +106,11 @@ class TestLabelPropagation:
         Table II set (trace -> hierarchy -> timing)."""
         from repro.config import SimConfig
         from repro.memsim.core_model import compute_timing
-        from repro.memsim.hierarchy import BaselineHierarchy
+        from repro.memsim.backends import BaselineBackend
 
         res = run_label_propagation(small_ba_undirected, [0, 1],
                                     num_cores=4)
-        out = BaselineHierarchy(
+        out = BaselineBackend(
             SimConfig.scaled_baseline(num_cores=4)
         ).replay(res.trace)
         timing = compute_timing(out, SimConfig.scaled_baseline(num_cores=4))

@@ -8,7 +8,6 @@ from repro.algorithms.bc import bc_reference_num_paths, run_bc
 from repro.algorithms.bfs import UNVISITED, bfs_reference_levels, run_bfs
 from repro.algorithms.radii import radii_reference, run_radii
 from repro.algorithms.sssp import run_sssp, sssp_reference
-from repro.graph.generators import rmat_graph
 
 
 class TestBfs:

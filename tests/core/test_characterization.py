@@ -1,6 +1,5 @@
 """Tests for workload characterization (Figs 3-5 machinery)."""
 
-import numpy as np
 import pytest
 
 from repro.config import SimConfig
@@ -13,6 +12,7 @@ from repro.core.characterization import (
 from repro.core.system import run_system
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.tc import run_tc
+from repro.core.context import RunRequest
 
 
 class TestAccessFractionToTop:
@@ -47,7 +47,8 @@ class TestAccessFractionToTop:
 class TestTmam:
     def test_baseline_memory_bound(self, small_powerlaw):
         rep = run_system(
-            small_powerlaw, "pagerank", SimConfig.scaled_baseline(num_cores=4)
+            small_powerlaw, RunRequest("pagerank"),
+            SimConfig.scaled_baseline(num_cores=4),
         )
         breakdown = tmam_breakdown(rep)
         # Fig 3: graph workloads are strongly memory bound (~71%).
@@ -56,7 +57,8 @@ class TestTmam:
 
     def test_fractions_in_range(self, small_powerlaw):
         rep = run_system(
-            small_powerlaw, "pagerank", SimConfig.scaled_baseline(num_cores=4)
+            small_powerlaw, RunRequest("pagerank"),
+            SimConfig.scaled_baseline(num_cores=4),
         )
         for v in tmam_breakdown(rep).values():
             assert 0.0 <= v <= 1.0

@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.context import (
@@ -13,9 +14,9 @@ from repro.core.context import (
     scalar_cache_from_env,
     segment_events_from_env,
 )
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.graph.generators import rmat_graph
-from repro.store import TraceStore, set_store, reset_store
+from repro.store import TraceStore
 
 
 @pytest.fixture(scope="module")
@@ -81,27 +82,6 @@ class TestRunContext:
         assert ctx.segment_events == 16
         assert ctx.attribution is False
 
-    def test_installed_store_pin_wins_over_env(self, tmp_path):
-        pinned = TraceStore(tmp_path / "pinned")
-        set_store(pinned)
-        try:
-            ctx = RunContext.from_env(
-                environ={"REPRO_CACHE_DIR": str(tmp_path / "other")}
-            )
-            assert ctx.store is pinned
-        finally:
-            reset_store()
-
-    def test_set_store_none_pins_caching_off(self, tmp_path):
-        set_store(None)
-        try:
-            ctx = RunContext.from_env(
-                environ={"REPRO_CACHE_DIR": str(tmp_path)}
-            )
-            assert ctx.store is None
-        finally:
-            reset_store()
-
     def test_spec_round_trip(self, tmp_path):
         store = TraceStore(tmp_path / "s", capacity_bytes=123456)
         ctx = RunContext(
@@ -124,29 +104,14 @@ class TestRunContext:
 
 class TestRunRequest:
     def test_run_system_rejects_request_plus_legacy(self, graph):
+        """The request form is the only form: a workload passed the
+        legacy way, or legacy keywords beside a request, are errors."""
         from repro.core.system import run_system
 
-        req = RunRequest(algorithm="pagerank")
-        with pytest.raises(SimulationError):
-            run_system(graph, "pagerank", request=req)
-        with pytest.raises(SimulationError):
-            run_system(graph)  # no workload at all
-
-    def test_request_equals_legacy_kwargs(self, graph):
-        from repro.core.system import run_system
-
-        legacy = run_system(
-            graph, "pagerank", dataset="t", chunk_size=16, cache=False,
-        )
-        req = RunRequest(
-            algorithm="pagerank", dataset="t", chunk_size=16,
-        )
-        modern = run_system(
-            graph, request=req, context=RunContext(),
-        )
-        assert modern.cycles == legacy.cycles
-        assert modern.stats.as_dict() == legacy.stats.as_dict()
-        assert modern.dataset == "t"
+        with pytest.raises(SimulationError, match="RunRequest"):
+            run_system(graph, "pagerank")
+        with pytest.raises(TypeError):
+            run_system(graph, RunRequest("pagerank"), cache=False)
 
     def test_request_dict_round_trip(self):
         req = RunRequest(
@@ -171,6 +136,65 @@ class TestRunRequest:
         assert rep.hot_capacity > 0  # an OMEGA config was built
 
 
+class TestBoundaryValidation:
+    """Both values reject a bad field at construction, naming it."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("algorithm", "nosuchalg"),
+        ("algorithm", None),
+        ("backend", "tpu"),
+        ("chunk_size", 0),
+        ("chunk_size", "32"),
+        ("sp_chunk_size", -1),
+        ("reorder", "yes"),
+        ("num_cores", 0),
+        ("manifest_path", 5),
+        ("trace_path", ["t.json"]),
+        ("timeline_path", 1.5),
+        ("attribution_path", object()),
+        ("obs_window", -1),
+        ("alg_kwargs", [1, 2]),
+        ("alg_kwargs", {"bogus": 1}),
+    ])
+    def test_bad_request_field_names_it(self, field, value):
+        fields = {"algorithm": "pagerank", field: value}
+        with pytest.raises(ReproError, match=field):
+            RunRequest(**fields)
+
+    def test_from_dict_rejects_non_mapping_kwargs(self):
+        with pytest.raises(ReproError, match="alg_kwargs"):
+            RunRequest.from_dict({"algorithm": "pagerank", "alg_kwargs": [1, 2]})
+
+    def test_unknown_kwarg_checked_against_the_runner(self):
+        with pytest.raises(ReproError, match="'source'"):
+            RunRequest("pagerank", alg_kwargs={"source": 0})
+        assert RunRequest("bfs", alg_kwargs={"source": 0}).alg_kwargs == {
+            "source": 0
+        }
+
+    def test_accepted_forms_still_accepted(self, tmp_path):
+        req = RunRequest(
+            "pagerank", chunk_size=np.int64(16), sp_chunk_size=None,
+            reorder=None, manifest_path=tmp_path / "m.json", obs_window=0,
+            alg_kwargs={"max_iters": np.int64(1)},
+        )
+        assert req.chunk_size == 16
+        ctx = RunContext(segment_events=np.int64(64), ledger_path=tmp_path)
+        assert ctx.segment_events == 64
+
+    @pytest.mark.parametrize("field,value", [
+        ("store", "/tmp/x"),
+        ("segment_events", "x"),
+        ("segment_events", 0),
+        ("attribution", "no"),
+        ("scalar_cache", None),
+        ("ledger_path", 5),
+    ])
+    def test_bad_context_field_names_it(self, field, value):
+        with pytest.raises(ReproError, match=field):
+            RunContext(**{field: value})
+
+
 #: Manifest blocks/fields that legitimately differ between hosts or
 #: runs of identical simulated work (timings, RSS, cache hit state).
 _HOST_FIELDS = ("telemetry", "trace_cache")
@@ -190,7 +214,7 @@ class TestConcurrentContexts:
         """Two concurrent run_system threads on *different* stores must
         produce bit-identical manifests to their serial equivalents and
         populate only their own store — the regression that motivated
-        RunContext (ambient use_store would interleave)."""
+        RunContext (a process-global store would interleave)."""
         from repro.core.system import run_system
 
         store_a = TraceStore(tmp_path / "a")

@@ -7,13 +7,15 @@ import pytest
 from repro.config import SimConfig
 from repro.core.system import compare_systems, run_system
 from repro.graph.generators import rmat_graph
+from repro.core.context import RunRequest
 
 
 @pytest.fixture(scope="module")
 def report():
     g = rmat_graph(8, edge_factor=6, seed=5)
-    return run_system(g, "pagerank", SimConfig.scaled_baseline(num_cores=4),
-                      dataset="t")
+    return run_system(
+        g, RunRequest("pagerank", dataset="t"), SimConfig.scaled_baseline(num_cores=4),
+    )
 
 
 class TestSimReport:
@@ -77,8 +79,8 @@ class TestManifest:
 
         g = _rmat(7, edge_factor=6, seed=5)
         sampled = run_system(
-            g, "pagerank", SimConfig.scaled_baseline(num_cores=4),
-            dataset="t", obs_window=0,
+            g, RunRequest("pagerank", dataset="t", obs_window=0),
+            SimConfig.scaled_baseline(num_cores=4),
         )
         block = sampled.manifest()["telemetry"]
         assert block["num_windows"] == sampled.timeline.num_windows
@@ -100,10 +102,8 @@ class TestComparisonReport:
     def cmp(self):
         g = rmat_graph(8, edge_factor=6, seed=5)
         return compare_systems(
-            g, "pagerank",
-            SimConfig.scaled_baseline(num_cores=4),
-            SimConfig.scaled_omega(num_cores=4),
-            dataset="t",
+            g, RunRequest("pagerank", dataset="t"),
+            SimConfig.scaled_baseline(num_cores=4), SimConfig.scaled_omega(num_cores=4),
         )
 
     def test_all_ratios_finite_positive(self, cmp):

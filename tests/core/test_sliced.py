@@ -6,6 +6,7 @@ from repro.config import SimConfig
 from repro.errors import SimulationError
 from repro.core.sliced import run_sliced, slice_plan
 from repro.graph.generators import rmat_graph
+from repro.core.context import RunRequest
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +43,12 @@ class TestSlicePlan:
 class TestRunSliced:
     def test_requires_omega_config(self, big_graph):
         with pytest.raises(SimulationError, match="OMEGA"):
-            run_sliced(big_graph, "pagerank",
-                       config=SimConfig.scaled_baseline())
+            run_sliced(big_graph, RunRequest("pagerank"), SimConfig.scaled_baseline())
 
     def test_report_accounting(self, big_graph, tiny_sp_config):
-        rep = run_sliced(big_graph, "pagerank", config=tiny_sp_config,
-                         power_law_aware=True)
+        rep = run_sliced(
+            big_graph, RunRequest("pagerank"), tiny_sp_config, power_law_aware=True,
+        )
         assert rep.num_slices == len(rep.slice_reports)
         assert rep.total_cycles == pytest.approx(
             rep.compute_cycles + rep.merge_cycles
@@ -55,8 +56,9 @@ class TestRunSliced:
         assert 0 <= rep.overhead_fraction < 1
 
     def test_each_slice_hot_set_fits(self, big_graph, tiny_sp_config):
-        rep = run_sliced(big_graph, "pagerank", config=tiny_sp_config,
-                         power_law_aware=False)
+        rep = run_sliced(
+            big_graph, RunRequest("pagerank"), tiny_sp_config, power_law_aware=False,
+        )
         # With plain slicing every slice's vtxProp fits entirely, so
         # every slice's run reports full hot coverage of its range...
         # hot_fraction is relative to all n vertices, so just check the
@@ -66,16 +68,20 @@ class TestRunSliced:
             assert r.hot_capacity <= max(capacity, 1)
 
     def test_aware_beats_plain(self, big_graph, tiny_sp_config):
-        plain = run_sliced(big_graph, "pagerank", config=tiny_sp_config,
-                           power_law_aware=False)
-        aware = run_sliced(big_graph, "pagerank", config=tiny_sp_config,
-                           power_law_aware=True)
+        plain = run_sliced(
+            big_graph, RunRequest("pagerank"), tiny_sp_config, power_law_aware=False,
+        )
+        aware = run_sliced(
+            big_graph, RunRequest("pagerank"), tiny_sp_config, power_law_aware=True,
+        )
         assert aware.num_slices < plain.num_slices
         assert aware.total_cycles < plain.total_cycles
 
     def test_merge_overhead_grows_with_slices(self, big_graph, tiny_sp_config):
-        plain = run_sliced(big_graph, "pagerank", config=tiny_sp_config,
-                           power_law_aware=False)
-        aware = run_sliced(big_graph, "pagerank", config=tiny_sp_config,
-                           power_law_aware=True)
+        plain = run_sliced(
+            big_graph, RunRequest("pagerank"), tiny_sp_config, power_law_aware=False,
+        )
+        aware = run_sliced(
+            big_graph, RunRequest("pagerank"), tiny_sp_config, power_law_aware=True,
+        )
         assert plain.merge_cycles >= aware.merge_cycles

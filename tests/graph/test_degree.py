@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.csr import from_edges
 from repro.graph.degree import (
     GraphCharacterization,
     characterize,

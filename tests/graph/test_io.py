@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import from_edges
 from repro.graph.io import load_dimacs, load_edge_list, save_dimacs, save_edge_list
 
 

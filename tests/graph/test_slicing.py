@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.csr import from_edges
 from repro.graph.slicing import (
     merge_slice_results,
     num_slices_required,

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.graph.csr import from_edges
-from repro.ligra.atomics import AtomicOp, scatter_atomic
 from repro.ligra.framework import LigraEngine
-from repro.ligra.trace import AccessClass, FLAG_ATOMIC, FLAG_SRC_READ, FLAG_WRITE
+from repro.ligra.trace import AccessClass, FLAG_SRC_READ, FLAG_WRITE
 from repro.ligra.vertex_subset import VertexSubset
 
 

@@ -10,7 +10,6 @@ from repro.ligra.trace import (
     FLAG_ATOMIC,
     FLAG_SRC_READ,
     FLAG_WRITE,
-    Trace,
     TraceBuilder,
 )
 

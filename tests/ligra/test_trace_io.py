@@ -16,6 +16,7 @@ from repro.ligra.trace import (
     TraceBuilder,
 )
 from repro.algorithms.pagerank import pagerank_reference, run_pagerank
+from repro.core.context import RunRequest
 
 
 class TestTraceSaveLoad:
@@ -38,15 +39,15 @@ class TestTraceSaveLoad:
 
     def test_roundtrip_preserves_replay(self, tmp_path, small_powerlaw):
         from repro.config import SimConfig
-        from repro.memsim.hierarchy import BaselineHierarchy
+        from repro.memsim.backends import BaselineBackend
 
         tr = run_pagerank(small_powerlaw, num_cores=4).trace
         path = tmp_path / "pr.npz"
         tr.save(path)
         loaded = Trace.load(path)
         cfg = SimConfig.scaled_baseline(num_cores=4)
-        a = BaselineHierarchy(cfg).replay(tr)
-        b = BaselineHierarchy(cfg).replay(loaded)
+        a = BaselineBackend(cfg).replay(tr)
+        b = BaselineBackend(cfg).replay(loaded)
         assert a.stats.as_dict() == b.stats.as_dict()
 
     def test_load_rejects_non_trace(self, tmp_path):
@@ -120,11 +121,11 @@ class TestTraceFormat:
         # index). They must not just load — they must replay to the
         # same counters as the live trace across the v3 bump.
         from repro.config import SimConfig
-        from repro.memsim.hierarchy import BaselineHierarchy
+        from repro.memsim.backends import BaselineBackend
 
         tr = run_pagerank(small_powerlaw, num_cores=4).trace
         cfg = SimConfig.scaled_baseline(num_cores=4)
-        want = BaselineHierarchy(cfg).replay(tr).stats.as_dict()
+        want = BaselineBackend(cfg).replay(tr).stats.as_dict()
         path = tmp_path / "legacy.npz"
         tr.save(path)
         with np.load(path) as data:
@@ -135,7 +136,7 @@ class TestTraceFormat:
             columns["format_version"] = np.int64(version)
             np.savez(path, **columns)
             loaded = Trace.load(path)
-            got = BaselineHierarchy(cfg).replay(loaded).stats.as_dict()
+            got = BaselineBackend(cfg).replay(loaded).stats.as_dict()
             assert got == want
 
     def test_docs_match_constant(self):
@@ -236,8 +237,9 @@ class TestGraphmatMode:
         from repro.core.system import run_system
 
         rep = run_system(
-            small_powerlaw, "pagerank", SimConfig.scaled_omega(num_cores=4),
-            framework="graphmat",
+            small_powerlaw,
+            RunRequest("pagerank", alg_kwargs={"framework": "graphmat"}),
+            SimConfig.scaled_omega(num_cores=4),
         )
         assert rep.stats.atomics_total == 0
         assert rep.stats.pisc_ops == 0
@@ -250,8 +252,10 @@ class TestGraphmatMode:
         from repro.core.system import run_system
 
         rep = run_system(
-            small_powerlaw, "pagerank", SimConfig.scaled_omega(num_cores=4),
-            framework="graphmat", chunk_size=32, sp_chunk_size=1,
+            small_powerlaw,
+            RunRequest("pagerank", chunk_size=32, sp_chunk_size=1,
+                       alg_kwargs={"framework": "graphmat"}),
+            SimConfig.scaled_omega(num_cores=4),
         )
         assert rep.stats.atomics_total == 0
         assert rep.stats.pisc_ops > 0

@@ -6,8 +6,9 @@ import pytest
 from repro.config import SimConfig
 from repro.errors import SimulationError
 from repro.ligra.trace import AccessClass, FLAG_ATOMIC, FLAG_WRITE, Trace
-from repro.memsim.alternatives import LockedCacheHierarchy, PimConfig, PimHierarchy
+from repro.memsim.backends import LockedCacheBackend, PimConfig, GraphPimBackend
 from repro.memsim.mapping import ScratchpadMapping
+from repro.core.context import RunRequest
 
 
 def make_trace(cores, addrs, flags, access_class, vertices=None):
@@ -35,14 +36,14 @@ def locked_cfg():
 class TestLockedCache:
     def test_rejects_pisc_config(self):
         with pytest.raises(SimulationError, match="no PISC"):
-            LockedCacheHierarchy(
+            LockedCacheBackend(
                 SimConfig.scaled_omega(num_cores=4),
                 ScratchpadMapping(4, 16),
             )
 
     def test_hot_access_always_l2_hit(self, locked_cfg):
         tr = make_trace([0], [0x1000], [0], AccessClass.VTXPROP, vertices=[5])
-        out = LockedCacheHierarchy(
+        out = LockedCacheBackend(
             locked_cfg, ScratchpadMapping(4, 64, 2)
         ).replay(tr)
         assert out.stats.l2_hits == 1
@@ -52,14 +53,14 @@ class TestLockedCache:
     def test_remote_bank_moves_full_line(self, locked_cfg):
         # vertex 2 with chunk 2 homes on bank 1; requester is core 0.
         tr = make_trace([0], [0x1000], [0], AccessClass.VTXPROP, vertices=[2])
-        out = LockedCacheHierarchy(
+        out = LockedCacheBackend(
             locked_cfg, ScratchpadMapping(4, 64, 2)
         ).replay(tr)
         assert out.stats.onchip_line_bytes >= 64
 
     def test_local_bank_no_traffic(self, locked_cfg):
         tr = make_trace([0], [0x1000], [0], AccessClass.VTXPROP, vertices=[0])
-        out = LockedCacheHierarchy(
+        out = LockedCacheBackend(
             locked_cfg, ScratchpadMapping(4, 64, 2)
         ).replay(tr)
         assert out.stats.onchip_traffic_bytes == 0
@@ -69,7 +70,7 @@ class TestLockedCache:
             [0], [0x1000], [FLAG_WRITE | FLAG_ATOMIC], AccessClass.VTXPROP,
             vertices=[0],
         )
-        out = LockedCacheHierarchy(
+        out = LockedCacheBackend(
             locked_cfg, ScratchpadMapping(4, 64, 2)
         ).replay(tr)
         assert out.stats.atomics_on_cores == 1
@@ -78,7 +79,7 @@ class TestLockedCache:
     def test_cold_access_uses_cache_path(self, locked_cfg):
         tr = make_trace([0], [0x1000], [0], AccessClass.VTXPROP,
                         vertices=[999])
-        out = LockedCacheHierarchy(
+        out = LockedCacheBackend(
             locked_cfg, ScratchpadMapping(4, 64, 2)
         ).replay(tr)
         assert out.stats.l1_misses == 1
@@ -87,7 +88,7 @@ class TestLockedCache:
 class TestPim:
     def test_rejects_scratchpad_config(self):
         with pytest.raises(SimulationError):
-            PimHierarchy(SimConfig.scaled_omega(num_cores=4))
+            GraphPimBackend(SimConfig.scaled_omega(num_cores=4))
 
     def test_atomics_offloaded_off_chip(self):
         cfg = SimConfig.scaled_baseline(num_cores=4)
@@ -95,7 +96,7 @@ class TestPim:
             [0] * 3, [0x1000] * 3, [FLAG_WRITE | FLAG_ATOMIC] * 3,
             AccessClass.VTXPROP, vertices=[1, 2, 3],
         )
-        out = PimHierarchy(cfg).replay(tr)
+        out = GraphPimBackend(cfg).replay(tr)
         assert out.stats.atomics_offloaded == 3
         assert out.stats.atomics_on_cores == 0
         # Each op costs off-chip bytes instead of cache lines.
@@ -109,13 +110,13 @@ class TestPim:
             [0] * 10, [0x1000] * 10, [FLAG_WRITE | FLAG_ATOMIC] * 10,
             AccessClass.VTXPROP, vertices=[0] * 10,
         )
-        out = PimHierarchy(cfg, pim).replay(tr)
+        out = GraphPimBackend(cfg, pim).replay(tr)
         assert max(out.stats.pisc_occupancy) >= 10 * 1000
 
     def test_non_atomic_traffic_uses_caches(self):
         cfg = SimConfig.scaled_baseline(num_cores=4)
         tr = make_trace([0, 0], [0x9000, 0x9000], [0, 0], AccessClass.EDGELIST)
-        out = PimHierarchy(cfg).replay(tr)
+        out = GraphPimBackend(cfg).replay(tr)
         assert out.stats.l1_accesses == 2
 
     def test_ngraph_atomics_stay_on_core(self):
@@ -125,7 +126,7 @@ class TestPim:
         tr = make_trace(
             [0], [0x9000], [FLAG_WRITE | FLAG_ATOMIC], AccessClass.NGRAPH
         )
-        out = PimHierarchy(cfg).replay(tr)
+        out = GraphPimBackend(cfg).replay(tr)
         assert out.stats.atomics_on_cores == 1
 
     def test_pim_config_validation(self):
@@ -136,18 +137,14 @@ class TestPim:
 class TestEndToEnd:
     def test_design_ordering_on_powerlaw(self):
         """OMEGA > {locked cache, GraphPIM} > baseline (PageRank)."""
-        from repro.core.system import (
-            run_graphpim,
-            run_locked_cache,
-            run_system,
-        )
+        from repro.core.system import run_system
         from repro.graph.generators import rmat_graph
 
         g = rmat_graph(9, edge_factor=8, seed=3)
-        base = run_system(g, "pagerank", SimConfig.scaled_baseline())
-        omega = run_system(g, "pagerank", SimConfig.scaled_omega())
-        locked = run_locked_cache(g, "pagerank")
-        pim = run_graphpim(g, "pagerank")
+        base = run_system(g, RunRequest("pagerank"), SimConfig.scaled_baseline())
+        omega = run_system(g, RunRequest("pagerank"), SimConfig.scaled_omega())
+        locked = run_system(g, RunRequest("pagerank", backend="locked"))
+        pim = run_system(g, RunRequest("pagerank", backend="graphpim"))
         assert omega.cycles < locked.cycles < base.cycles
         # OMEGA also beats PIM offloading; PIM itself can even lose to
         # the baseline on extremely hub-concentrated graphs (hot-vault

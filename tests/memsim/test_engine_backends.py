@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.config import SimConfig
-from repro.core.system import run_graphpim, run_locked_cache, run_system
+from repro.core.context import RunRequest
+from repro.core.system import run_system
 from repro.errors import SimulationError
 from repro.graph.generators import rmat_graph
-from repro.memsim.engine import (
+from repro.memsim.backends import (
     BACKENDS,
     BaselineBackend,
     HierarchyBackend,
@@ -51,8 +52,8 @@ class TestRegistry:
         try:
             assert get_backend("test-null") is NullBackend
             report = run_system(
-                graph, "pagerank", SimConfig.scaled_baseline(),
-                backend="test-null",
+                graph, RunRequest("pagerank", backend="test-null"),
+                SimConfig.scaled_baseline(),
             )
             assert report.backend == "test-null"
             assert report.cycles > 0
@@ -75,7 +76,7 @@ class TestRunSystemBackends:
     ])
     def test_every_variant_runs(self, graph, backend, config_factory):
         report = run_system(
-            graph, "pagerank", config_factory(), backend=backend
+            graph, RunRequest("pagerank", backend=backend), config_factory(),
         )
         assert report.backend == backend
         assert report.cycles > 0
@@ -84,38 +85,17 @@ class TestRunSystemBackends:
         assert sum(report.stats.core_accesses) == report.trace_events
 
     def test_backend_inferred_from_config(self, graph):
-        base = run_system(graph, "pagerank", SimConfig.scaled_baseline())
-        omega = run_system(graph, "pagerank", SimConfig.scaled_omega())
+        base = run_system(graph, RunRequest("pagerank"), SimConfig.scaled_baseline())
+        omega = run_system(graph, RunRequest("pagerank"), SimConfig.scaled_omega())
         assert base.backend == "baseline"
         assert omega.backend == "omega"
 
     def test_unknown_backend_name_raises(self, graph):
         with pytest.raises(SimulationError, match="unknown backend"):
             run_system(
-                graph, "pagerank", SimConfig.scaled_baseline(),
-                backend="nope",
+                graph, RunRequest("pagerank", backend="nope"),
+                SimConfig.scaled_baseline(),
             )
-
-    def test_locked_alias_matches_run_system(self, graph):
-        config = SimConfig.scaled_omega(
-            use_pisc=False, use_source_buffer=False
-        )
-        via_alias = run_locked_cache(graph, "pagerank", config)
-        via_backend = run_system(graph, "pagerank", config, backend="locked")
-        assert via_alias.system == "locked-cache"
-        assert via_alias.cycles == via_backend.cycles
-        assert via_alias.stats.as_dict() == via_backend.stats.as_dict()
-        assert via_alias.hot_capacity == via_backend.hot_capacity
-
-    def test_graphpim_alias_matches_run_system(self, graph):
-        config = SimConfig.scaled_baseline()
-        via_alias = run_graphpim(graph, "pagerank", config)
-        via_backend = run_system(
-            graph, "pagerank", config, backend="graphpim"
-        )
-        assert via_alias.system == "graphpim"
-        assert via_alias.cycles == via_backend.cycles
-        assert via_alias.stats.as_dict() == via_backend.stats.as_dict()
 
 
 class TestScalarFastEquivalence:
@@ -157,7 +137,7 @@ class TestScalarFastEquivalence:
 
         fast = make().replay(result.trace)
         slow_backend = make()
-        slow_backend.force_scalar_cache = True
+        slow_backend.scalar_cache = True
         slow = slow_backend.replay(result.trace)
 
         fast_stats = fast.stats.as_dict()
@@ -193,8 +173,7 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         config = SimConfig.scaled_omega()
         report = run_system(
-            graph, "pagerank", config, dataset="rmat7",
-            manifest_path=path,
+            graph, RunRequest("pagerank", dataset="rmat7", manifest_path=path), config,
         )
         data = json.loads(path.read_text())
         assert data["schema"] == "omega-repro/run-manifest/v7"

@@ -12,7 +12,7 @@ from repro.ligra.trace import (
     FLAG_WRITE,
     Trace,
 )
-from repro.memsim.hierarchy import BaselineHierarchy, OmegaHierarchy
+from repro.memsim.backends import BaselineBackend, OmegaBackend
 from repro.memsim.mapping import ScratchpadMapping
 from repro.core.offload import microcode_for_algorithm
 
@@ -48,17 +48,17 @@ def omega_cfg():
 class TestBaselineHierarchy:
     def test_rejects_scratchpad_config(self, omega_cfg):
         with pytest.raises(SimulationError):
-            BaselineHierarchy(omega_cfg)
+            BaselineBackend(omega_cfg)
 
     def test_repeat_access_hits_l1(self, baseline_cfg):
         tr = make_trace([0, 0], [0x1000, 0x1000], [0, 0], AccessClass.NGRAPH)
-        out = BaselineHierarchy(baseline_cfg).replay(tr)
+        out = BaselineBackend(baseline_cfg).replay(tr)
         assert out.stats.l1_hits == 1
         assert out.stats.l1_misses == 1
 
     def test_miss_goes_to_dram(self, baseline_cfg):
         tr = make_trace([0], [0x1000], [0], AccessClass.NGRAPH)
-        out = BaselineHierarchy(baseline_cfg).replay(tr)
+        out = BaselineBackend(baseline_cfg).replay(tr)
         assert out.stats.l2_misses == 1
         assert out.stats.dram_read_bytes == 64
 
@@ -67,7 +67,7 @@ class TestBaselineHierarchy:
             [0], [0x1000], [FLAG_WRITE | FLAG_ATOMIC], AccessClass.VTXPROP,
             vertices=[0],
         )
-        out = BaselineHierarchy(baseline_cfg).replay(tr)
+        out = BaselineBackend(baseline_cfg).replay(tr)
         assert out.stats.atomics_on_cores == 1
         assert sum(out.stats.core_serial_cycles) > 0
 
@@ -80,13 +80,13 @@ class TestBaselineHierarchy:
             AccessClass.VTXPROP,
             vertices=[0] * n,
         )
-        out = BaselineHierarchy(baseline_cfg).replay(tr)
+        out = BaselineBackend(baseline_cfg).replay(tr)
         assert out.stats.coherence_invalidations >= n - 4
 
     def test_streaming_prefetched(self, baseline_cfg):
         addrs = [0x10000 + 64 * i for i in range(32)]
         tr = make_trace([0] * 32, addrs, [0] * 32, AccessClass.EDGELIST)
-        out = BaselineHierarchy(baseline_cfg).replay(tr)
+        out = BaselineBackend(baseline_cfg).replay(tr)
         # All but the first line of the run are prefetch hits.
         assert out.stats.prefetch_hits >= 30
 
@@ -94,12 +94,12 @@ class TestBaselineHierarchy:
         addrs = (rng.permutation(4096) * 64 + 0x100000).tolist()
         tr = make_trace([0] * len(addrs), addrs, [0] * len(addrs),
                         AccessClass.VTXPROP, vertices=[-1] * len(addrs))
-        out = BaselineHierarchy(baseline_cfg).replay(tr)
+        out = BaselineBackend(baseline_cfg).replay(tr)
         assert out.stats.prefetch_hits < len(addrs) * 0.1
 
     def test_empty_trace(self, baseline_cfg):
         tr = make_trace([], [], [], AccessClass.NGRAPH)
-        out = BaselineHierarchy(baseline_cfg).replay(tr)
+        out = BaselineBackend(baseline_cfg).replay(tr)
         assert out.stats.l1_accesses == 0
 
     def test_dirty_eviction_writes_back(self):
@@ -109,7 +109,7 @@ class TestBaselineHierarchy:
         n = 4096
         addrs = [0x100000 + 64 * i * 7 for i in range(n)]
         tr = make_trace([0] * n, addrs, [FLAG_WRITE] * n, AccessClass.NGRAPH)
-        out = BaselineHierarchy(cfg).replay(tr)
+        out = BaselineBackend(cfg).replay(tr)
         assert out.stats.dram_write_bytes > 0
 
 
@@ -119,14 +119,14 @@ class TestOmegaHierarchy:
 
     def test_rejects_baseline_config(self, baseline_cfg):
         with pytest.raises(SimulationError):
-            OmegaHierarchy(baseline_cfg, self._mapping())
+            OmegaBackend(baseline_cfg, self._mapping())
 
     def test_hot_atomic_offloaded(self, omega_cfg):
         tr = make_trace(
             [0], [0x1000], [FLAG_WRITE | FLAG_ATOMIC], AccessClass.VTXPROP,
             vertices=[5],
         )
-        out = OmegaHierarchy(
+        out = OmegaBackend(
             omega_cfg, self._mapping(), microcode_for_algorithm("pagerank")
         ).replay(tr)
         assert out.stats.atomics_offloaded == 1
@@ -138,7 +138,7 @@ class TestOmegaHierarchy:
             [0], [0x1000], [FLAG_WRITE | FLAG_ATOMIC], AccessClass.VTXPROP,
             vertices=[1000],
         )
-        out = OmegaHierarchy(
+        out = OmegaBackend(
             omega_cfg, self._mapping(hot=64), microcode_for_algorithm("pagerank")
         ).replay(tr)
         assert out.stats.atomics_on_cores == 1
@@ -151,13 +151,13 @@ class TestOmegaHierarchy:
             [0, 0], [0x1000, 0x1008], [0, 0], AccessClass.VTXPROP,
             vertices=[0, 2],
         )
-        out = OmegaHierarchy(omega_cfg, mapping).replay(tr)
+        out = OmegaBackend(omega_cfg, mapping).replay(tr)
         assert out.stats.sp_local_accesses == 1
         assert out.stats.sp_remote_accesses == 1
 
     def test_remote_word_traffic(self, omega_cfg):
         tr = make_trace([0], [0x1000], [0], AccessClass.VTXPROP, vertices=[2])
-        out = OmegaHierarchy(omega_cfg, self._mapping()).replay(tr)
+        out = OmegaBackend(omega_cfg, self._mapping()).replay(tr)
         assert 0 < out.stats.onchip_word_bytes <= 16
 
     def test_source_buffer_absorbs_repeats(self, omega_cfg):
@@ -165,7 +165,7 @@ class TestOmegaHierarchy:
             [0] * 4, [0x1000] * 4, [FLAG_SRC_READ] * 4, AccessClass.VTXPROP,
             vertices=[2] * 4,
         )
-        out = OmegaHierarchy(omega_cfg, self._mapping()).replay(tr)
+        out = OmegaBackend(omega_cfg, self._mapping()).replay(tr)
         assert out.stats.srcbuf_hits == 3
         assert out.stats.sp_remote_accesses == 1
 
@@ -174,7 +174,7 @@ class TestOmegaHierarchy:
             [0, 0], [0x1000, 0x1000], [FLAG_SRC_READ] * 2, AccessClass.VTXPROP,
             vertices=[2, 2], barriers=[1],
         )
-        out = OmegaHierarchy(omega_cfg, self._mapping()).replay(tr)
+        out = OmegaBackend(omega_cfg, self._mapping()).replay(tr)
         assert out.stats.srcbuf_hits == 0
 
     def test_source_buffer_disabled(self):
@@ -183,7 +183,7 @@ class TestOmegaHierarchy:
             [0] * 3, [0x1000] * 3, [FLAG_SRC_READ] * 3, AccessClass.VTXPROP,
             vertices=[2] * 3,
         )
-        out = OmegaHierarchy(cfg, self._mapping()).replay(tr)
+        out = OmegaBackend(cfg, self._mapping()).replay(tr)
         assert out.srcbufs is None
         assert out.stats.srcbuf_hits == 0
 
@@ -192,7 +192,7 @@ class TestOmegaHierarchy:
             [0] * 3, [0x1000] * 3, [FLAG_SRC_READ] * 3, AccessClass.VTXPROP,
             vertices=[0] * 3,
         )
-        out = OmegaHierarchy(omega_cfg, self._mapping()).replay(tr)
+        out = OmegaBackend(omega_cfg, self._mapping()).replay(tr)
         assert out.stats.srcbuf_hits == 0
         assert out.stats.sp_local_accesses == 3
 
@@ -202,13 +202,13 @@ class TestOmegaHierarchy:
             [0], [0x1000], [FLAG_WRITE | FLAG_ATOMIC], AccessClass.VTXPROP,
             vertices=[2],
         )
-        out = OmegaHierarchy(cfg, ScratchpadMapping(4, 64, 2)).replay(tr)
+        out = OmegaBackend(cfg, ScratchpadMapping(4, 64, 2)).replay(tr)
         assert out.stats.atomics_on_cores == 1
         assert out.stats.sp_remote_accesses == 1
 
     def test_edgelist_goes_through_caches(self, omega_cfg):
         tr = make_trace([0, 0], [0x9000, 0x9000], [0, 0], AccessClass.EDGELIST)
-        out = OmegaHierarchy(omega_cfg, self._mapping()).replay(tr)
+        out = OmegaBackend(omega_cfg, self._mapping()).replay(tr)
         assert out.stats.l1_accesses == 2
         assert out.stats.sp_accesses == 0
 
@@ -217,7 +217,7 @@ class TestOmegaHierarchy:
             [0] * 10, [0x1000] * 10, [FLAG_WRITE | FLAG_ATOMIC] * 10,
             AccessClass.VTXPROP, vertices=[0] * 10,
         )
-        out = OmegaHierarchy(
+        out = OmegaBackend(
             omega_cfg, self._mapping(), microcode_for_algorithm("pagerank")
         ).replay(tr)
         assert out.stats.pisc_occupancy[0] > 0

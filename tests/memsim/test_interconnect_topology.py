@@ -5,6 +5,7 @@ import pytest
 from repro.config import InterconnectConfig
 from repro.errors import ConfigError
 from repro.memsim.interconnect import Crossbar
+from repro.core.context import RunRequest
 
 
 class TestCrossbarTopology:
@@ -86,6 +87,6 @@ class TestEndToEndTopology:
         mesh_cfg = dataclasses.replace(
             base, interconnect=InterconnectConfig(topology="mesh")
         )
-        crossbar = run_system(g, "pagerank", base)
-        mesh = run_system(g, "pagerank", mesh_cfg)
+        crossbar = run_system(g, RunRequest("pagerank"), base)
+        mesh = run_system(g, RunRequest("pagerank"), mesh_cfg)
         assert mesh.cycles <= crossbar.cycles

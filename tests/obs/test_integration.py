@@ -8,6 +8,7 @@ from repro.config import SimConfig
 from repro.core.system import run_system
 from repro.graph.generators import rmat_graph
 from repro.obs import MetricsRegistry, SpanTracer, use_registry, use_tracer
+from repro.core.context import RunRequest
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +19,10 @@ def graph():
 class TestInstrumentedRun:
     def test_trace_has_nested_phases(self, graph, tmp_path):
         path = tmp_path / "trace.json"
-        run_system(graph, "pagerank", SimConfig.scaled_omega(num_cores=4),
-                   dataset="t", trace_path=path)
+        run_system(
+            graph, RunRequest("pagerank", dataset="t", trace_path=path),
+            SimConfig.scaled_omega(num_cores=4),
+        )
         doc = json.loads(path.read_text())
         events = doc["traceEvents"]
         names = {e["name"] for e in events}
@@ -37,8 +40,10 @@ class TestInstrumentedRun:
         trace = tmp_path / "trace.json"
         timeline = tmp_path / "timeline.json"
         report = run_system(
-            graph, "pagerank", SimConfig.scaled_omega(num_cores=4),
-            dataset="t", trace_path=trace, timeline_path=timeline,
+            graph,
+            RunRequest("pagerank", dataset="t", trace_path=trace,
+                       timeline_path=timeline),
+            SimConfig.scaled_omega(num_cores=4),
         )
         doc = json.loads(timeline.read_text())
         assert doc["num_windows"] >= 10
@@ -51,16 +56,18 @@ class TestInstrumentedRun:
     def test_installed_tracer_is_reused(self, graph):
         tracer = SpanTracer()
         with use_tracer(tracer):
-            run_system(graph, "pagerank",
-                       SimConfig.scaled_baseline(num_cores=4), dataset="t")
+            run_system(
+                graph, RunRequest("pagerank", dataset="t"),
+                SimConfig.scaled_baseline(num_cores=4),
+            )
         assert any(r.name == "run_system" for r in tracer.records)
 
     def test_metrics_registry_collects_counters(self, graph):
         registry = MetricsRegistry()
         with use_registry(registry):
             report = run_system(
-                graph, "pagerank", SimConfig.scaled_baseline(num_cores=4),
-                dataset="t",
+                graph, RunRequest("pagerank", dataset="t"),
+                SimConfig.scaled_baseline(num_cores=4),
             )
         counters = registry.snapshot()["counters"]
         assert counters["replay.events"] == report.trace_events
@@ -70,16 +77,20 @@ class TestInstrumentedRun:
     def test_registry_snapshot_rides_timeline(self, graph, tmp_path):
         path = tmp_path / "timeline.json"
         with use_registry(MetricsRegistry()):
-            run_system(graph, "pagerank",
-                       SimConfig.scaled_baseline(num_cores=4),
-                       dataset="t", timeline_path=path)
+            run_system(
+                graph, RunRequest("pagerank", dataset="t", timeline_path=path),
+                SimConfig.scaled_baseline(num_cores=4),
+            )
         doc = json.loads(path.read_text())
         assert doc["metrics"]["counters"]["replay.events"] > 0
 
     def test_manifest_telemetry_block(self, graph, tmp_path):
         path = tmp_path / "manifest.json"
-        run_system(graph, "pagerank", SimConfig.scaled_omega(num_cores=4),
-                   dataset="t", manifest_path=path, obs_window=0)
+        run_system(
+            graph,
+            RunRequest("pagerank", dataset="t", manifest_path=path, obs_window=0),
+            SimConfig.scaled_omega(num_cores=4),
+        )
         doc = json.loads(path.read_text())
         block = doc["telemetry"]
         assert block["num_windows"] >= 10

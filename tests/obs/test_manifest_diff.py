@@ -10,14 +10,17 @@ from repro.core.system import run_system
 from repro.errors import ReproError
 from repro.graph.generators import rmat_graph
 from repro.obs import diff_manifests, format_report, load_manifest
+from repro.core.context import RunRequest
 
 
 @pytest.fixture(scope="module")
 def manifest_path(tmp_path_factory):
     g = rmat_graph(7, edge_factor=6, seed=3)
     path = tmp_path_factory.mktemp("manifests") / "run.json"
-    run_system(g, "pagerank", SimConfig.scaled_omega(num_cores=4),
-               dataset="t", manifest_path=path)
+    run_system(
+        g, RunRequest("pagerank", dataset="t", manifest_path=path),
+        SimConfig.scaled_omega(num_cores=4),
+    )
     return path
 
 

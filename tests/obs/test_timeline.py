@@ -17,6 +17,7 @@ from repro.obs.timeline import (
     ReplaySampler,
     Timeline,
 )
+from repro.core.context import RunRequest
 
 
 def _sampler(window=0, total=100):
@@ -109,10 +110,13 @@ class TestWindowedReplayEquivalence:
         g = rmat_graph(7, edge_factor=6, seed=3)
         config = (SimConfig.scaled_omega(num_cores=4) if backend == "omega"
                   else SimConfig.scaled_baseline(num_cores=4))
-        plain = run_system(g, "pagerank", config, dataset="t",
-                           backend=backend)
-        sampled = run_system(g, "pagerank", config, dataset="t",
-                             backend=backend, obs_window=500)
+        plain = run_system(
+            g, RunRequest("pagerank", backend=backend, dataset="t"), config,
+        )
+        sampled = run_system(
+            g, RunRequest("pagerank", backend=backend, dataset="t", obs_window=500),
+            config,
+        )
         assert sampled.stats.as_dict() == plain.stats.as_dict()
         # Per-core latency sums accumulate in window-sized chunks, so
         # cycles agree to FP rounding, not bit-exactly.
@@ -125,8 +129,8 @@ class TestWindowedReplayEquivalence:
     def test_window_totals_match_run_totals(self):
         g = rmat_graph(7, edge_factor=6, seed=3)
         report = run_system(
-            g, "pagerank", SimConfig.scaled_omega(num_cores=4),
-            dataset="t", obs_window=0,
+            g, RunRequest("pagerank", dataset="t", obs_window=0),
+            SimConfig.scaled_omega(num_cores=4),
         )
         tl = report.timeline
         assert tl.num_windows >= 10

@@ -36,7 +36,7 @@ from tests.property.test_kernel_parity import (
     workload,  # noqa: F401  (module fixture, registered by import)
 )
 
-from repro.memsim.engine import BaselineBackend
+from repro.memsim.backends import BaselineBackend
 
 ALL_BACKENDS = ["baseline", "omega", "locked", "graphpim", "dynamic"]
 
@@ -122,7 +122,7 @@ class TestRandomizedConservation:
 
         def make():
             backend = BaselineBackend(cfg)
-            backend.force_scalar_cache = True
+            backend.scalar_cache = True
             return backend
 
         acc_o = attributed_incore(make, trace)

@@ -189,7 +189,7 @@ class TestCompiledReuseGapParity:
         for name in BACKENDS:
             compiled = estimate_replay(factories[name](), workload[0])
             backend = factories[name]()
-            backend.force_scalar_cache = True
+            backend.scalar_cache = True
             assert estimate_replay(backend, workload[0]).as_dict() == \
                 compiled.as_dict()
             assert compiled.l1_hits > 0 and compiled.l2_hits > 0
@@ -204,7 +204,7 @@ def golden():
     from repro.config import SimConfig
     from repro.core.offload import microcode_for_algorithm
     from repro.graph.reorder import reorder_nth_element
-    from repro.memsim.engine import BaselineBackend, OmegaBackend
+    from repro.memsim.backends import BaselineBackend, OmegaBackend
     from repro.memsim.mapping import ScratchpadMapping
     from repro.memsim.scratchpad import hot_capacity_for
 

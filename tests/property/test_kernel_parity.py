@@ -3,7 +3,7 @@
 The compiled cache kernel
 (:meth:`repro.memsim.cachestate.CacheSystem._replay_compiled`) must
 reproduce the scalar per-event oracle (``REPRO_SCALAR_CACHE=1`` /
-``force_scalar_cache``) *exactly* — every integer counter, every
+``scalar_cache``) *exactly* — every integer counter, every
 per-core float latency sum, and the full final cache/directory/
 prefetcher/DRAM state — across all five hierarchy backends, every
 interconnect topology, every DRAM page policy, and up to the 64-core
@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 
 from repro.algorithms.registry import run_algorithm
 from repro.config import SimConfig
+from repro.core.context import RunContext, RunRequest
+from repro.core.system import run_system
 from repro.core.offload import microcode_for_algorithm
 from repro.graph.generators import rmat_graph
 from repro.graph.reorder import reorder_nth_element
@@ -34,12 +36,12 @@ from repro.ligra.trace import (
     Trace,
 )
 from repro.memsim.backends.omega import srcbuf_stage
-from repro.memsim.cachestate import SCALAR_CACHE_ENV, CacheSystem
+from repro.memsim.cachestate import CacheSystem
 from repro.memsim.ckernel import FlatSourceBuffers, load_kernel
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.stats import MemStats
-from repro.memsim.engine import (
+from repro.memsim.backends import (
     BaselineBackend,
     DynamicScratchpadBackend,
     GraphPimBackend,
@@ -108,7 +110,7 @@ def assert_parity(make_backend, trace, sampler=False):
     assert out_k.kernel["mode"] == "kernel"
     assert out_k.kernel["batches"] > 0
     oracle = make_backend()
-    oracle.force_scalar_cache = True
+    oracle.scalar_cache = True
     out_o = oracle.replay(
         trace, sampler=ReplaySampler(64) if sampler else None
     )
@@ -281,7 +283,7 @@ class TestAllBackendsParity:
         s_k = ReplaySampler(4096)
         kernel.replay(workload[0], sampler=s_k)
         oracle = factories[name]()
-        oracle.force_scalar_cache = True
+        oracle.scalar_cache = True
         s_o = ReplaySampler(4096)
         oracle.replay(workload[0], sampler=s_o)
         cols_k = dict(s_k.timeline().columns)
@@ -299,33 +301,36 @@ class TestAllBackendsParity:
 
 
 class TestScalarEscapeHatches:
-    def test_env_var_forces_oracle(self, monkeypatch):
-        monkeypatch.setenv(SCALAR_CACHE_ENV, "1")
+    SCALAR_ENV = {"REPRO_SCALAR_CACHE": "1"}
+
+    def test_env_var_forces_oracle(self):
+        context = RunContext.from_env(environ=self.SCALAR_ENV)
+        assert context.scalar_cache is True
         cfg = baseline_config()
         system = CacheSystem(
             cfg,
             MemStats(num_cores=NCORES),
             DramModel(cfg.dram),
             Crossbar(cfg.interconnect, NCORES),
+            scalar_cache=context.scalar_cache,
         )
         assert system.fast_path_ok is False
 
-    def test_env_var_replay_matches_kernel(self, monkeypatch):
-        trace = make_trace(
-            [0, 1, 0, 1, 2, 3] * 20,
-            [0x100000 + 64 * (i % 7) for i in range(120)],
-            [FLAG_WRITE if i % 3 == 0 else 0 for i in range(120)],
+    def test_env_var_replay_matches_kernel(self):
+        graph = rmat_graph(6, edge_factor=4, seed=1)
+        request = RunRequest("pagerank", backend="baseline", num_cores=NCORES)
+        kernel = run_system(graph, request, context=RunContext())
+        oracle = run_system(
+            graph, request, context=RunContext.from_env(environ=self.SCALAR_ENV)
         )
-        cfg = baseline_config()
-        out_k = BaselineBackend(cfg).replay(trace)
-        monkeypatch.setenv(SCALAR_CACHE_ENV, "1")
-        out_o = BaselineBackend(cfg).replay(trace)
-        assert snapshot(out_k) == snapshot(out_o)
+        assert kernel.replay.kernel["mode"] == "kernel"
+        assert oracle.replay.kernel["mode"] == "scalar"
+        assert snapshot(kernel.replay) == snapshot(oracle.replay)
 
     def test_force_scalar_attribute_respected(self):
         cfg = baseline_config()
         backend = BaselineBackend(cfg)
-        backend.force_scalar_cache = True
+        backend.scalar_cache = True
         trace = make_trace([0], [0x100000], [0])
         out = backend.replay(trace)
         assert out.stats.l1_misses == 1
@@ -389,7 +394,7 @@ class TestOracleFallback:
         assert len(records.messages) == 1
         assert "no C compiler" in records.messages[0]
         oracle = BaselineBackend(cfg)
-        oracle.force_scalar_cache = True
+        oracle.scalar_cache = True
         assert snapshot(fallback) == snapshot(oracle.replay(trace))
         compiled = BaselineBackend(cfg).replay(trace)
         assert compiled.kernel["mode"] == "kernel"
@@ -492,7 +497,7 @@ class TestSourceBufferAndUpdateRoutes:
         )
         assert streamed.num_segments > 1
         oracle = make()
-        oracle.force_scalar_cache = True
+        oracle.scalar_cache = True
         assert snapshot(streamed) == snapshot(oracle.replay(trace))
 
 

@@ -30,7 +30,7 @@ from tests.property.test_kernel_parity import (
     workload,  # noqa: F401  (module fixture, registered by import)
 )
 
-from repro.memsim.engine import BaselineBackend
+from repro.memsim.backends import BaselineBackend
 
 ALL_BACKENDS = ["baseline", "omega", "locked", "graphpim", "dynamic"]
 

@@ -15,7 +15,9 @@ import urllib.request
 import pytest
 
 from repro.core.context import RunContext, RunRequest
+from repro.errors import SimulationError
 from repro.serve import JobManager, make_server, make_system_runner
+from repro.serve import server as server_module
 from repro.serve.server import MAX_BODY_BYTES, _Handler
 from repro.store import TraceStore
 
@@ -210,3 +212,71 @@ def test_reply_is_one_write():
     assert head.startswith(b"HTTP/1.1 200 OK\r\n")
     assert f"Content-Length: {len(body)}".encode() in head
     assert json.loads(body) == {"ok": True}
+
+
+@pytest.fixture()
+def fake_server():
+    """Start a server around an injected runner; stop it afterwards."""
+    servers = []
+
+    def start(runner):
+        srv = make_server(port=0, manager=JobManager(runner, workers=1))
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        servers.append((srv, thread))
+        return srv
+
+    yield start
+    for srv, thread in servers:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
+
+
+def test_wait_on_failed_job_is_200_with_its_error(fake_server):
+    def runner(spec, progress):
+        raise SimulationError("replay exploded")
+
+    srv = fake_server(runner)
+    status, doc = _post(
+        srv, {"dataset": DATASET, "algorithm": "pagerank", "wait": True}
+    )
+    assert status == 200
+    assert doc["status"] == "failed"
+    assert "replay exploded" in doc["error"]
+    # The same snapshot a status poll returns.
+    status, polled = _get(srv, f"/v1/jobs/{doc['job_id']}")
+    assert status == 200
+    assert polled == {k: v for k, v in doc.items() if k != "state"}
+
+
+def test_wait_timeout_is_202_with_job_id(fake_server, monkeypatch):
+    release = threading.Event()
+
+    def runner(spec, progress):
+        release.wait(timeout=30)
+        return {"algorithm": spec.algorithm}
+
+    monkeypatch.setattr(server_module, "WAIT_TIMEOUT_SECONDS", 0.2)
+    srv = fake_server(runner)
+    try:
+        status, doc = _post(
+            srv, {"dataset": DATASET, "algorithm": "pagerank", "wait": True}
+        )
+        assert status == 202
+        assert doc["state"] == "cold"
+        status, polled = _get(srv, f"/v1/jobs/{doc['job_id']}")
+        assert polled["status"] == "running"
+    finally:
+        release.set()
+
+
+def test_unknown_alg_kwarg_is_400_at_submit(fake_server):
+    def runner(spec, progress):  # pragma: no cover - never reached
+        raise AssertionError("a bad spec must not become a job")
+
+    srv = fake_server(runner)
+    status, doc = _post(srv, {"dataset": DATASET, "algorithm": "pagerank",
+                              "alg_kwargs": {"bogus": 1}, "wait": True})
+    assert status == 400
+    assert "alg_kwargs" in doc["error"] and "bogus" in doc["error"]

@@ -14,16 +14,13 @@ from repro.graph.generators import rmat_graph
 from repro.ligra.trace import AccessClass, TraceBuilder
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.manifest_diff import diff_manifests
+from repro.core.context import RunContext, RunRequest
 from repro.store import (
+    DEFAULT_CAPACITY_BYTES,
     TraceStore,
-    get_store,
     normalize_kwargs,
-    resolve_store,
-    set_store,
     trace_key,
-    use_store,
 )
-from repro.store.store import reset_store
 
 
 @pytest.fixture(scope="module")
@@ -423,47 +420,47 @@ class TestEviction:
 
 
 class TestAmbientStore:
-    def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        reset_store()
-        assert get_store() is None
+    """A run's store is resolved from the environment only by
+    ``RunContext.from_env``."""
 
-    def test_env_var_names_root(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        reset_store()
-        store = get_store()
+    def test_default_is_off(self):
+        assert RunContext.from_env(environ={}).store is None
+
+    def test_env_var_names_root(self, tmp_path):
+        store = RunContext.from_env(
+            environ={"REPRO_CACHE_DIR": str(tmp_path)}
+        ).store
         assert store is not None
         assert store.root == tmp_path
 
-    def test_set_store_wins_over_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
-        explicit = TraceStore(tmp_path / "explicit")
-        set_store(explicit)
-        try:
-            assert get_store() is explicit
-            set_store(None)
-            assert get_store() is None
-        finally:
-            reset_store()
-
-    def test_use_store_scopes(self, tmp_path):
-        store = TraceStore(tmp_path)
-        with use_store(store):
-            assert get_store() is store
-        reset_store()
-
     def test_resolve_semantics(self, tmp_path):
         store = TraceStore(tmp_path)
-        assert resolve_store(False) is None
-        assert resolve_store(store) is store
-        assert resolve_store(str(tmp_path)).root == tmp_path
-        with use_store(store):
-            assert resolve_store(None) is store
-            assert resolve_store(True) is store
+        env = {"REPRO_CACHE_DIR": str(tmp_path / "env")}
+
+        def resolve(cache):
+            return RunContext.from_env(cache=cache, environ=env).store
+
+        assert resolve(False) is None
+        assert resolve(store) is store
+        assert resolve(str(tmp_path)).root == tmp_path
+        assert resolve(None).root == tmp_path / "env"
+        assert resolve(True).root == tmp_path / "env"
 
     def test_capacity_env(self, monkeypatch, tmp_path):
+        """``TraceStore(root)`` ignores REPRO_CACHE_CAPACITY_MB; a store
+        ``from_env`` builds, from a path or from REPRO_CACHE_DIR, gets it."""
         monkeypatch.setenv("REPRO_CACHE_CAPACITY_MB", "2")
-        assert TraceStore(tmp_path).capacity_bytes == 2 * 1024 * 1024
+        assert TraceStore(tmp_path).capacity_bytes == DEFAULT_CAPACITY_BYTES
+        env = {
+            "REPRO_CACHE_CAPACITY_MB": "2",
+            "REPRO_CACHE_DIR": str(tmp_path / "env"),
+        }
+        for cache in (tmp_path, None):
+            store = RunContext.from_env(cache=cache, environ=env).store
+            assert store.capacity_bytes == 2 * 1024 * 1024
+        assert RunContext.from_env(
+            cache=tmp_path, environ={}
+        ).store.capacity_bytes == DEFAULT_CAPACITY_BYTES
 
     def test_zero_capacity_rejected(self, tmp_path):
         from repro.errors import TraceError
@@ -475,15 +472,19 @@ class TestAmbientStore:
 class TestRunSystemIntegration:
     def test_warm_hit_is_bit_identical(self, graph, omega_cfg, tmp_path):
         store = TraceStore(tmp_path)
-        cold = run_system(graph, "pagerank", omega_cfg, dataset="t",
-                          cache=store)
+        cold = run_system(
+            graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+            context=RunContext(store=store),
+        )
         assert cold.trace_cache == {
             "enabled": True, "hit": False,
             "key": cold.trace_cache["key"],
         }
         assert len(store) == 1
-        warm = run_system(graph, "pagerank", omega_cfg, dataset="t",
-                          cache=store)
+        warm = run_system(
+            graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+            context=RunContext(store=store),
+        )
         assert warm.trace_cache["hit"] is True
         assert warm.trace_cache["key"] == cold.trace_cache["key"]
         assert warm.stats.as_dict() == cold.stats.as_dict()
@@ -497,17 +498,25 @@ class TestRunSystemIntegration:
         self, graph, omega_cfg, tmp_path
     ):
         store = TraceStore(tmp_path)
-        cold = run_system(graph, "bfs", omega_cfg, cache=store)
-        warm = run_system(graph, "bfs", omega_cfg, cache=store)
+        cold = run_system(
+            graph, RunRequest("bfs"), omega_cfg, context=RunContext(store=store),
+        )
+        warm = run_system(
+            graph, RunRequest("bfs"), omega_cfg, context=RunContext(store=store),
+        )
         result = diff_manifests(cold.manifest(), warm.manifest(),
                                 tolerance=0.0)
         assert result.ok, result.regressions
 
     def test_no_cache_matches_cached_counters(self, graph, omega_cfg,
                                               tmp_path):
-        cached = run_system(graph, "pagerank", omega_cfg,
-                            cache=TraceStore(tmp_path))
-        plain = run_system(graph, "pagerank", omega_cfg, cache=False)
+        cached = run_system(
+            graph, RunRequest("pagerank"), omega_cfg,
+            context=RunContext(store=TraceStore(tmp_path)),
+        )
+        plain = run_system(
+            graph, RunRequest("pagerank"), omega_cfg, context=RunContext(),
+        )
         assert plain.trace_cache == {
             "enabled": False, "hit": False, "key": None,
         }
@@ -517,27 +526,35 @@ class TestRunSystemIntegration:
         self, graph, omega_cfg, tmp_path
     ):
         store = TraceStore(tmp_path)
-        cold = run_system(graph, "pagerank", omega_cfg, cache=store)
+        cold = run_system(
+            graph, RunRequest("pagerank"), omega_cfg, context=RunContext(store=store),
+        )
         key = cold.trace_cache["key"]
         trace_file = store.trace_path(key)
         trace_file.write_bytes(trace_file.read_bytes()[:100])
-        again = run_system(graph, "pagerank", omega_cfg, cache=store)
+        again = run_system(
+            graph, RunRequest("pagerank"), omega_cfg, context=RunContext(store=store),
+        )
         assert again.trace_cache["hit"] is False  # regenerated
         assert again.stats.as_dict() == cold.stats.as_dict()
         # ... and the rewrite made the store warm again.
-        third = run_system(graph, "pagerank", omega_cfg, cache=store)
+        third = run_system(
+            graph, RunRequest("pagerank"), omega_cfg, context=RunContext(store=store),
+        )
         assert third.trace_cache["hit"] is True
 
     def test_different_backends_share_reordered_trace(
         self, graph, omega_cfg, tmp_path
     ):
         store = TraceStore(tmp_path)
-        run_system(graph, "pagerank", omega_cfg, cache=store)
+        run_system(
+            graph, RunRequest("pagerank"), omega_cfg, context=RunContext(store=store),
+        )
         locked = run_system(
-            graph, "pagerank",
+            graph, RunRequest("pagerank", backend="locked"),
             SimConfig.scaled_omega(num_cores=4, use_pisc=False,
                                    use_source_buffer=False),
-            backend="locked", cache=store,
+            context=RunContext(store=store),
         )
         # locked reorders too and has the same cores/chunk -> same trace.
         assert locked.trace_cache["hit"] is True
@@ -545,9 +562,14 @@ class TestRunSystemIntegration:
     def test_numpy_scalar_kwargs_share_entry(self, graph, omega_cfg,
                                              tmp_path):
         store = TraceStore(tmp_path)
-        run_system(graph, "pagerank", omega_cfg, cache=store, max_iters=1)
-        rep = run_system(graph, "pagerank", omega_cfg, cache=store,
-                         max_iters=np.int64(1))
+        run_system(
+            graph, RunRequest("pagerank", alg_kwargs={"max_iters": 1}), omega_cfg,
+            context=RunContext(store=store),
+        )
+        rep = run_system(
+            graph, RunRequest("pagerank", alg_kwargs={"max_iters": np.int64(1)}),
+            omega_cfg, context=RunContext(store=store),
+        )
         assert rep.trace_cache["hit"] is True
 
     def test_uncacheable_kwargs_disable_cache(self, graph, omega_cfg,
@@ -555,8 +577,10 @@ class TestRunSystemIntegration:
         store = TraceStore(tmp_path)
         # A 0-d array is a working tolerance value but has no canonical
         # JSON form, so the run must bypass the cache, not crash.
-        rep = run_system(graph, "pagerank", omega_cfg, cache=store,
-                         tolerance=np.array(0.0))
+        rep = run_system(
+            graph, RunRequest("pagerank", alg_kwargs={"tolerance": np.array(0.0)}),
+            omega_cfg, context=RunContext(store=store),
+        )
         assert rep.trace_cache == {
             "enabled": False, "hit": False, "key": None,
         }

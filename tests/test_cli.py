@@ -17,13 +17,13 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["run", "--dataset", "lj"])
         assert args.algorithm == "pagerank"
-        assert args.system == "omega"
+        assert args.backend == "omega"
         assert args.scale == 1.0
 
     def test_bad_system_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["run", "--dataset", "lj", "--system", "tpu"]
+                ["run", "--dataset", "lj", "--backend", "tpu"]
             )
 
 
@@ -35,7 +35,7 @@ class TestCommands:
 
     def test_run_baseline(self, capsys):
         code = main(["run", "--dataset", "sd", "--algorithm", "pagerank",
-                     "--system", "baseline", "--scale", "0.5"])
+                     "--backend", "baseline", "--scale", "0.5"])
         assert code == 0
         out = capsys.readouterr().out
         assert "cycles:" in out
@@ -47,12 +47,12 @@ class TestCommands:
         assert "hot_fraction" in capsys.readouterr().out
 
     def test_run_locked(self, capsys):
-        assert main(["run", "--dataset", "sd", "--system", "locked",
+        assert main(["run", "--dataset", "sd", "--backend", "locked",
                      "--scale", "0.5"]) == 0
         assert "locked-cache" in capsys.readouterr().out
 
     def test_run_graphpim(self, capsys):
-        assert main(["run", "--dataset", "sd", "--system", "graphpim",
+        assert main(["run", "--dataset", "sd", "--backend", "graphpim",
                      "--scale", "0.5"]) == 0
         assert "graphpim" in capsys.readouterr().out
 

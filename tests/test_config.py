@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.config import (
-    CacheConfig,
     CoreConfig,
     DramConfig,
     InterconnectConfig,
