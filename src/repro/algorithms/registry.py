@@ -17,6 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ligra.trace import TraceBuilder
 
 from repro.errors import SimulationError
+from repro.graph import datasets
 from repro.graph.csr import CSRGraph
 from repro.algorithms.bc import run_bc
 from repro.algorithms.bfs import run_bfs
@@ -34,6 +35,7 @@ __all__ = [
     "AlgorithmInfo",
     "ALGORITHMS",
     "algorithm_names",
+    "load_workload",
     "run_algorithm",
     "runner_kwargs",
 ]
@@ -158,6 +160,37 @@ def algorithm_names() -> Tuple[str, ...]:
     return tuple(ALGORITHMS)
 
 
+def _algorithm_info(name: str) -> AlgorithmInfo:
+    """The registry entry of ``name``; an unknown name raises a
+    :class:`SimulationError` listing the known ones."""
+    info = ALGORITHMS.get(name)
+    if info is None:
+        raise SimulationError(
+            f"unknown algorithm {name!r}; available: {', '.join(ALGORITHMS)}"
+        )
+    return info
+
+
+def load_workload(
+    dataset: str, algorithm: str, scale: float = 1.0
+) -> Tuple[CSRGraph, "datasets.DatasetSpec"]:
+    """The stand-in graph of ``dataset`` as ``algorithm`` needs it.
+
+    Loads it at ``scale`` with edge weights when the algorithm needs
+    them, and symmetrized when it needs an undirected graph. An unknown
+    algorithm raises a :class:`SimulationError` and an unknown dataset a
+    :class:`~repro.errors.DatasetError`, both before anything is
+    generated. Returns the graph and the dataset's spec.
+    """
+    info = _algorithm_info(algorithm)
+    graph, spec = datasets.load_dataset(
+        dataset, scale=scale, weighted=info.requires_weights
+    )
+    if info.requires_undirected and graph.directed:
+        graph = graph.as_undirected()
+    return graph, spec
+
+
 #: Arguments :func:`run_algorithm` passes to every runner itself.
 _UNIFORM_ARGS = ("graph", "num_cores", "chunk_size", "trace")
 
@@ -188,11 +221,7 @@ def run_algorithm(
     Graph requirements (symmetry, weights) are checked up front with a
     clear error instead of failing mid-run.
     """
-    info = ALGORITHMS.get(name)
-    if info is None:
-        raise SimulationError(
-            f"unknown algorithm {name!r}; available: {', '.join(ALGORITHMS)}"
-        )
+    info = _algorithm_info(name)
     if info.requires_undirected and graph.directed:
         raise SimulationError(
             f"{info.display_name} requires an undirected graph"

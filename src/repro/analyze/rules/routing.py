@@ -8,8 +8,10 @@ kind of conservation bug the paper's ratios cannot survive. This rule
 checks, statically, for every ``ROUTE_*`` constant defined in
 ``repro.memsim.routes``:
 
-- engine-owned codes (referenced by ``repro.memsim.replay`` or by
-  ``routes.py`` itself, e.g. the masking sentinel) are exempt;
+- engine-owned codes (referenced by the replay driver
+  ``repro.memsim.replay``, by the cache path ``repro.memsim.cachestate``
+  that executes ``ROUTE_CACHE``, or by ``routes.py`` itself, e.g. the
+  masking sentinel) are exempt;
 - every other code must be *emitted* by at least one backend
   (``routes[mask] = ROUTE_X``) or declared in a module-level
   ``ROUTES_DECLARED_UNUSED`` tuple in ``routes.py``;
@@ -34,7 +36,7 @@ from repro.analyze.registry import rule
 __all__ = ["check_route_exhaustiveness"]
 
 ROUTES_MODULE = "repro.memsim.routes"
-REPLAY_MODULE = "repro.memsim.replay"
+ENGINE_MODULES = ("repro.memsim.replay", "repro.memsim.cachestate")
 BACKENDS_PACKAGE = "repro.memsim.backends"
 BASE_MODULE = "repro.memsim.backends.base"
 
@@ -115,9 +117,10 @@ def check_route_exhaustiveness(
     )
 
     engine_owned = _referenced_routes(routes_mod)
-    replay_mod = project.get(REPLAY_MODULE)
-    if replay_mod is not None:
-        engine_owned |= _referenced_routes(replay_mod)
+    for name in ENGINE_MODULES:
+        engine_mod = project.get(name)
+        if engine_mod is not None:
+            engine_owned |= _referenced_routes(engine_mod)
 
     base_mod = project.get(BASE_MODULE)
     base_accounted = (

@@ -186,25 +186,19 @@ def run_task(
     """
     import time
 
-    from repro.algorithms.registry import ALGORITHMS
+    from repro.algorithms.registry import load_workload
     from repro.core.context import RunContext, RunRequest
     from repro.core.system import estimate_system, run_system
-    from repro.graph.datasets import load_dataset
 
     request = RunRequest(
         task.algorithm, backend=task.backend, dataset=task.dataset,
         chunk_size=task.chunk_size, num_cores=task.num_cores,
     )
-    info = ALGORITHMS[task.algorithm]
     if context is None:
         context = RunContext.from_env()
     rules = parse_prune_spec(prune) if prune else None
     start = time.perf_counter()
-    graph, _spec = load_dataset(
-        task.dataset, scale=task.scale, weighted=info.requires_weights
-    )
-    if info.requires_undirected and graph.directed:
-        graph = graph.as_undirected()
+    graph, _spec = load_workload(task.dataset, task.algorithm, task.scale)
     if rules is not None:
         est = estimate_system(graph, request, context=context)
         metrics = est.as_dict()

@@ -342,24 +342,6 @@ def _resolve_cache(args):
     return args.cache_dir  # None -> REPRO_CACHE_DIR, path -> store
 
 
-def _load(dataset: str, algorithm: str, scale: float):
-    from repro.algorithms.registry import ALGORITHMS
-    from repro.graph.datasets import load_dataset
-
-    info = ALGORITHMS.get(algorithm)
-    if info is None:
-        raise ReproError(
-            f"unknown algorithm {algorithm!r};"
-            f" available: {', '.join(ALGORITHMS)}"
-        )
-    graph, spec = load_dataset(
-        dataset, scale=scale, weighted=info.requires_weights
-    )
-    if info.requires_undirected and graph.directed:
-        graph = graph.as_undirected()
-    return graph, spec
-
-
 def _cmd_datasets() -> int:
     from repro.bench.tables import format_table
     from repro.graph.datasets import DATASETS, dataset_names
@@ -392,10 +374,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.algorithms.registry import load_workload
     from repro.core.context import RunContext, RunRequest
     from repro.core.system import run_system
 
-    graph, spec = _load(args.dataset, args.algorithm, args.scale)
+    graph, spec = load_workload(args.dataset, args.algorithm, args.scale)
     request = RunRequest(
         args.algorithm, backend=args.backend, dataset=spec.name,
         num_cores=args.cores, manifest_path=args.manifest,
@@ -434,10 +417,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.algorithms.registry import load_workload
     from repro.core.context import RunContext, RunRequest
     from repro.core.system import compare_systems
 
-    graph, spec = _load(args.dataset, args.algorithm, args.scale)
+    graph, spec = load_workload(args.dataset, args.algorithm, args.scale)
     cmp = compare_systems(
         graph, RunRequest(args.algorithm, dataset=spec.name),
         baseline_config=SimConfig.scaled_baseline(num_cores=args.cores),

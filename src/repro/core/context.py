@@ -27,12 +27,14 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, NoReturn, Optional, Sequence, Union
 
+from repro.config import SimConfig
 from repro.errors import SimulationError
 from repro.obs.ledger import ENV_LEDGER
 from repro.store import TraceStore
 from repro.store.store import ENV_CACHE_CAPACITY_MB, ENV_CACHE_DIR
 
 __all__ = [
+    "DEFAULT_NUM_CORES",
     "ENV_SEGMENT_EVENTS",
     "ENV_ATTRIBUTION",
     "ENV_SCALAR_CACHE",
@@ -57,6 +59,9 @@ ENV_ATTRIBUTION = "REPRO_ATTRIBUTION"
 #: Environment escape hatch forcing the scalar reference cache oracle
 #: (``"1"`` forces it; anything else keeps the batch kernel).
 ENV_SCALAR_CACHE = "REPRO_SCALAR_CACHE"
+
+#: Core count of a config the drivers derive (Table III's 16 cores).
+DEFAULT_NUM_CORES = 16
 
 #: Values of :data:`ENV_ATTRIBUTION` that mean "on".
 _TRUTHY = ("1", "true", "on", "yes")
@@ -380,9 +385,11 @@ class RunRequest:
     #: required preprocessing), off for the baseline, GraphPIM and the
     #: dynamic scratchpad (which run the original ordering).
     reorder: Optional[bool] = None
-    #: Core count of the default config; used only when the driver must
-    #: derive one.
-    num_cores: int = 16
+    #: Core count. ``None`` means the config's own count when the driver
+    #: is given a config, and :data:`DEFAULT_NUM_CORES` when it derives
+    #: one; a count that disagrees with a given config is rejected (see
+    #: :meth:`core_count`).
+    num_cores: Optional[int] = None
     #: Write the run manifest
     #: (:meth:`~repro.core.report.SimReport.manifest`) as JSON here.
     manifest_path: Optional[str] = None
@@ -417,7 +424,7 @@ class RunRequest:
         _check_int("sp_chunk_size", self.sp_chunk_size, 1)
         if self.reorder is not None:
             _check_flag("reorder", self.reorder)
-        _check_int("num_cores", self.num_cores, 1, optional=False)
+        _check_int("num_cores", self.num_cores, 1)
         for name in _PATH_FIELDS:
             value = getattr(self, name)
             if value is not None and not isinstance(value, (str, os.PathLike)):
@@ -434,6 +441,26 @@ class RunRequest:
                 f" accepted: {', '.join(accepted) or 'none'}"
             )
         object.__setattr__(self, "alg_kwargs", dict(self.alg_kwargs))
+
+    def core_count(self, config: Optional[SimConfig] = None) -> int:
+        """The run's core count under ``config`` (``None``: derived).
+
+        With a config, its own count; a ``num_cores`` that disagrees
+        raises a :class:`SimulationError` naming the field rather than
+        being ignored. Without one, ``num_cores``, else
+        :data:`DEFAULT_NUM_CORES`.
+        """
+        if config is None:
+            return (DEFAULT_NUM_CORES if self.num_cores is None
+                    else int(self.num_cores))
+        cores = config.core.num_cores
+        if self.num_cores is not None and self.num_cores != cores:
+            raise SimulationError(
+                f"num_cores: the request asks for {self.num_cores} cores"
+                f" but the config has {cores}; leave num_cores unset to"
+                " use the config's"
+            )
+        return cores
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form (for sweep payloads and serve job specs)."""

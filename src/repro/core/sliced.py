@@ -100,7 +100,8 @@ def run_sliced(
         meaningful for the all-active algorithms (PageRank-style) whose
         per-slice results merge by destination ownership.
     config:
-        OMEGA configuration (default: the scaled Table III config).
+        OMEGA configuration (default: the scaled Table III config with
+        the request's core count).
     power_law_aware:
         Approach 3 (slice so only each slice's top 20% must fit)
         versus approach 2 (whole slice vtxProp fits).
@@ -110,7 +111,8 @@ def run_sliced(
         Cost of combining one owned vertex's partial result at a slice
         boundary (a sequential, prefetch-friendly pass).
     """
-    config = config or SimConfig.scaled_omega()
+    config = config or SimConfig.scaled_omega(num_cores=request.core_count())
+    request.core_count(config)  # a disagreeing num_cores raises
     if not config.use_scratchpad:
         raise SimulationError("run_sliced expects an OMEGA configuration")
     slices = slice_plan(

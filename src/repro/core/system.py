@@ -664,13 +664,15 @@ def _backend_and_config(
 
     Without a config the backend defaults to OMEGA and the config to
     :func:`default_backend_config`; with one, an unset backend is
-    inferred from ``config.use_scratchpad``. ``reorder`` defaults per
-    backend.
+    inferred from ``config.use_scratchpad``, and a request
+    ``num_cores`` that disagrees with it raises. ``reorder`` defaults
+    per backend.
     """
     if config is None:
         name = request.backend or "omega"
-        config = default_backend_config(name, num_cores=request.num_cores)
+        config = default_backend_config(name, num_cores=request.core_count())
     else:
+        request.core_count(config)  # a disagreeing num_cores raises
         name = request.backend or (
             "omega" if config.use_scratchpad else "baseline"
         )
@@ -873,7 +875,8 @@ def run_backends(
     Arguments mirror :func:`run_system`; ``request.backend`` is ignored
     — ``backends`` names the set to sweep — and ``configs`` optionally
     maps a backend name to its :class:`SimConfig` (defaults per backend
-    via :func:`default_backend_config` with ``request.num_cores``).
+    via :func:`default_backend_config` with the request's core count;
+    a given config must agree with ``request.num_cores`` when set).
     Returns an ordered ``{backend name: SimReport}`` in the order
     requested.
     """
@@ -931,8 +934,10 @@ def compare_systems(
     wrapper over :func:`run_backends`, so the two runs share the trace
     store.
     """
-    baseline_config = baseline_config or SimConfig.scaled_baseline()
-    omega_config = omega_config or SimConfig.scaled_omega()
+    cores = request.core_count()
+    baseline_config = (baseline_config
+                       or SimConfig.scaled_baseline(num_cores=cores))
+    omega_config = omega_config or SimConfig.scaled_omega(num_cores=cores)
     if baseline_config.use_scratchpad:
         raise SimulationError("baseline_config must not use scratchpads")
     if not omega_config.use_scratchpad:

@@ -37,7 +37,7 @@ from repro.memsim.ckernel import FlatSourceBuffers
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.pisc import Microcode, PiscEngine
-from repro.memsim.prepass import TracePrepass
+from repro.memsim.prepass import TracePrepass, word_bytes
 from repro.memsim.routes import transfer_latency_many
 from repro.memsim.srcbuffer import SourceVertexBuffer
 from repro.memsim.stats import MemStats
@@ -202,7 +202,7 @@ def account_sp_plain(ctx: ReplayContext, trace: Trace,
         lat[remote] += transfer_latency_many(
             ctx.crossbar, cores[remote], home[idx][remote]
         )
-        rbytes = int(prepass.nbytes[idx][remote].sum())
+        rbytes = word_bytes(trace.size[idx][remote])
         ctx.crossbar.word_packets += n_remote
         ctx.crossbar.word_bytes += rbytes + n_remote * header
         stats.onchip_word_bytes += rbytes + n_remote * header
@@ -232,7 +232,7 @@ def account_sp_rmw(ctx: ReplayContext, trace: Trace,
         lat[remote] += 2.0 * transfer_latency_many(
             ctx.crossbar, cores[remote], home[idx][remote]
         )
-        rbytes = int(prepass.nbytes[idx][remote].sum())
+        rbytes = word_bytes(trace.size[idx][remote])
         ctx.crossbar.word_packets += 2 * n_remote
         ctx.crossbar.word_bytes += 2 * (rbytes + n_remote * header)
         stats.onchip_word_bytes += 2 * (rbytes + n_remote * header)
@@ -298,7 +298,7 @@ def account_offload(ctx: ReplayContext, trace: Trace,
     stats.sp_remote_accesses += n_remote
     if n_remote:
         header = config.interconnect.header_bytes
-        rbytes = int(prepass.nbytes[idx][~local].sum())
+        rbytes = word_bytes(trace.size[idx][~local])
         ctx.crossbar.word_packets += n_remote
         ctx.crossbar.word_bytes += rbytes + n_remote * header
         stats.onchip_word_bytes += rbytes + n_remote * header

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -12,11 +12,66 @@ from repro.ligra.trace import Trace
 from repro.memsim.accounting import ReplayContext
 from repro.memsim.backends.base import HierarchyBackend
 from repro.memsim.backends.registry import register_backend
+from repro.memsim.ckernel import FlatDynamicPads
+from repro.memsim.mapping import ScratchpadMapping
 from repro.memsim.pisc import Microcode, PiscEngine
 from repro.memsim.prepass import TracePrepass
 from repro.memsim.routes import ROUTE_SP_OFFLOAD, ROUTE_SP_PLAIN
 
-__all__ = ["DynamicScratchpadBackend"]
+__all__ = ["DynamicPads", "DynamicScratchpadBackend"]
+
+
+class DynamicPads:
+    """The frequency-weighted vertex sets, one Python step per event.
+
+    The scalar oracle of the dynamic backend's trainer, and its path
+    when the cache path runs through the oracle or no compiler exists;
+    :class:`~repro.memsim.ckernel.FlatDynamicPads` is the compiled twin
+    with the same :meth:`train`, :meth:`sets` and :meth:`counts`.
+    """
+
+    def __init__(self, num_sets: int, slots: int) -> None:
+        self.slots = slots
+        self._sets: List[Dict[int, int]] = [{} for _ in range(num_sets)]
+        self._freq: Dict[int, int] = {}
+
+    def train(self, vtxprop: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+        """Train on one segment's events; returns the resident mask.
+
+        Every vtxProp event of a vertex ``v >= 0`` bumps ``v``'s running
+        count and offers ``v`` to set ``v % num_sets``: a resident ``v``
+        takes the new count, a set with room takes ``v``, and a full
+        set evicts its least-count entry (the first such, in insertion
+        order) for ``v`` only when that count is below ``v``'s.
+        """
+        idx = np.flatnonzero(vtxprop & (vertex >= 0))
+        sets, freq, slots = self._sets, self._freq, self.slots
+        num_sets = len(sets)
+        flags = [False] * len(idx)
+        for j, v in enumerate(vertex[idx].tolist()):
+            count = freq.get(v, 0) + 1
+            freq[v] = count
+            entry_set = sets[v % num_sets]
+            if v in entry_set or len(entry_set) < slots:
+                entry_set[v] = count
+                flags[j] = True
+                continue
+            victim = min(entry_set, key=entry_set.get)
+            if entry_set[victim] < count:
+                del entry_set[victim]
+                entry_set[v] = count
+                flags[j] = True
+        resident = np.zeros(len(vertex), dtype=bool)
+        resident[idx] = flags
+        return resident
+
+    def sets(self) -> List[Dict[int, int]]:
+        """Per set, vertex -> count in insertion order."""
+        return [dict(s) for s in self._sets]
+
+    def counts(self) -> Dict[int, int]:
+        """Every trained vertex's running access count."""
+        return dict(self._freq)
 
 
 @register_backend("dynamic")
@@ -68,54 +123,37 @@ class DynamicScratchpadBackend(HierarchyBackend):
         # The frequency trainer's state lives on the context so it
         # carries across trace segments: counts learned in segment k
         # keep deciding victims in segment k+1, exactly as they would
-        # in one whole-trace pass.
-        num_sets = (
-            max(1, self.capacity_vertices // self.slots_per_set)
-            if self.capacity_vertices > 0
-            else 0
-        )
-        sets: List[dict] = [dict() for _ in range(num_sets)]
-        ctx.extra["dyn_sets"] = sets
-        ctx.extra["dyn_freq"] = {}
+        # in one whole-trace pass. It runs compiled exactly when the
+        # cache path does.
+        pads = None
+        if self.capacity_vertices > 0:
+            num_sets = max(1, self.capacity_vertices // self.slots_per_set)
+            lib = ctx.system.kernel_lib()
+            pads = (
+                FlatDynamicPads(lib, num_sets, self.slots_per_set)
+                if lib is not None
+                else DynamicPads(num_sets, self.slots_per_set)
+            )
+        ctx.extra["dyn_pads"] = pads
 
     def route(self, ctx: ReplayContext, trace: Trace,
               prepass: TracePrepass) -> np.ndarray:
         n = prepass.num_events
         routes = np.zeros(n, dtype=np.int8)
-        sets = ctx.extra["dyn_sets"]
-        num_sets = len(sets)
-        if num_sets == 0 or n == 0:
+        pads = ctx.extra["dyn_pads"]
+        if pads is None or n == 0:
             return routes
-        verts_all = np.asarray(trace.vertex, dtype=np.int64)
-        cand = prepass.vtxprop & (verts_all >= 0)
-        idx = np.flatnonzero(cand)
-        # Frequency training is inherently sequential (the running
-        # counts decide victims), but only the vtxProp subset walks it.
-        verts = verts_all[idx].tolist()
-        slots = self.slots_per_set
-        freq: dict = ctx.extra["dyn_freq"]
-        resident_flags = [False] * len(verts)
-        for j, vertex in enumerate(verts):
-            count = freq.get(vertex, 0) + 1
-            freq[vertex] = count
-            entry_set = sets[vertex % num_sets]
-            if vertex in entry_set:
-                entry_set[vertex] = count
-                resident_flags[j] = True
-            elif len(entry_set) < slots:
-                entry_set[vertex] = count
-                resident_flags[j] = True
-            else:
-                victim = min(entry_set, key=entry_set.get)
-                if entry_set[victim] < count:
-                    del entry_set[victim]
-                    entry_set[vertex] = count
-                    resident_flags[j] = True
-        resident = np.zeros(n, dtype=bool)
-        resident[idx] = resident_flags
-        # Dynamic pads hash by vertex id, not by the static chunked map.
-        ctx.sp_home = np.where(verts_all >= 0, verts_all % ctx.ncores, 0)
-        ctx.sp_local = ctx.sp_home == np.asarray(trace.core, dtype=np.int64)
+        verts_all = np.ascontiguousarray(trace.vertex, dtype=np.int64)
+        resident = pads.train(prepass.vtxprop, verts_all)
+        # Dynamic pads hash by vertex id (a chunk-1 interleave), not by
+        # the static chunked map.
+        ctx.sp_home = np.where(
+            verts_all >= 0,
+            ScratchpadMapping(ctx.ncores, 0, chunk_size=1).home_many(
+                verts_all),
+            0,
+        )
+        ctx.sp_local = ctx.sp_home == trace.core
         if self._use_pisc:
             off = resident & prepass.atomic
             routes[off] = ROUTE_SP_OFFLOAD

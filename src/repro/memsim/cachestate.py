@@ -14,8 +14,8 @@ paths:
   the fallback when the compiled kernel cannot be built.
 - the **compiled kernel** (:meth:`CacheSystem._replay_compiled`): the
   whole batch in one C call over flat array state
-  (:mod:`repro.memsim.ckernel`); Python folds its counter deltas into
-  the model objects.
+  (:mod:`repro.memsim.ckernel`), reading the segment's full columns in
+  place; Python folds its counter deltas into the model objects.
 
 A system uses one path for its whole life: in kernel mode the model
 objects carry the counters only, and :meth:`CacheSystem.state` is the
@@ -31,15 +31,18 @@ import numpy as np
 
 from repro.config import SimConfig
 from repro.memsim.cache import Cache
-from repro.memsim.ckernel import FlatCacheState, load_kernel
+from repro.ligra.trace import FLAG_ATOMIC, FLAG_WRITE, check_core_ids
+from repro.memsim.ckernel import REPLAY_COLUMNS, FlatCacheState, load_kernel
 from repro.memsim.coherence import Directory
 from repro.memsim.dram import DramModel
 from repro.memsim.geometry import BankGeometry
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.prepass import StreamDetector
+from repro.memsim.routes import ROUTE_CACHE
 from repro.memsim.stats import MemStats
 
 __all__ = [
+    "CacheBatch",
     "CacheRecord",
     "CacheSystem",
     "KernelTelemetry",
@@ -47,12 +50,49 @@ __all__ = [
 ]
 
 
+class CacheBatch:
+    """The events ``[start, end)`` of one segment, as full columns.
+
+    What :meth:`CacheSystem.replay_cache_path` replays: ``core``,
+    ``addr`` and ``flags`` are the segment's trace columns and
+    ``routes`` the backend's route codes, all read in place by the
+    kernel. Only the cache-routed events run through the caches, but
+    every event of the range counts toward its core's accesses.
+    ``len()`` is the number of cache-routed events.
+    """
+
+    __slots__ = ("core", "addr", "flags", "routes", "start", "end")
+
+    def __init__(self, core: np.ndarray, addr: np.ndarray,
+                 flags: np.ndarray, routes: np.ndarray, start: int = 0,
+                 end: Optional[int] = None) -> None:
+        if core.dtype != np.int16:
+            check_core_ids(core)  # before the narrowing cast hides a bad id
+        self.core, self.addr, self.flags, self.routes = (
+            np.ascontiguousarray(col, dtype=dtype)
+            for (_, dtype), col in zip(REPLAY_COLUMNS,
+                                       (core, addr, flags, routes))
+        )
+        self.start = start
+        self.end = len(self.core) if end is None else end
+
+    def positions(self) -> np.ndarray:
+        """Column positions of the range's cache-routed events."""
+        routes = self.routes[self.start:self.end]
+        return np.flatnonzero(routes == ROUTE_CACHE) + self.start
+
+    def __len__(self) -> int:
+        routes = self.routes[self.start:self.end]
+        return int(np.count_nonzero(routes == ROUTE_CACHE))
+
+
 class CacheRecord:
     """Per-event outcome columns of one cache batch (attribution).
 
     Optional observability sidecar of :meth:`CacheSystem.replay_cache_path`:
-    when passed, both execution paths fill one row per event at the
-    exact counter-increment sites, so column sums reproduce the batch's
+    when passed, both execution paths fill one row per cache-routed
+    event, in order, at the exact counter-increment sites, so column
+    sums reproduce the batch's
     ``MemStats`` deltas bit-identically. ``l1_hit`` *defaults* to
     True — only the miss path flips it.
 
@@ -254,37 +294,47 @@ class CacheSystem:
     # ------------------------------------------------------------------
     def replay_cache_path(
         self,
-        cores: np.ndarray,
-        addrs: np.ndarray,
-        lines: np.ndarray,
-        writes: np.ndarray,
-        atomics: np.ndarray,
+        batch: CacheBatch,
         mem_lat: List[float],
         serial: List[float],
-        record: "CacheRecord" = None,
-    ) -> None:
-        """Replay every cache-routed event (arrays already subset-sliced).
+        record: Optional[CacheRecord] = None,
+    ) -> int:
+        """Replay a batch's cache-routed events; returns their number.
 
-        Per-core memory-latency and serialization sums accumulate into
-        ``mem_lat``/``serial``; atomic events get the core-executed
-        split (``atomic_serialization`` of the latency serializes, plus
-        the fixed stall). ``record`` (a :class:`CacheRecord` sized to
-        the batch) additionally captures per-event outcomes for traffic
-        attribution; both paths fill it at the counter-increment sites.
+        Every event of the batch's range adds one to its core's
+        ``stats.core_accesses``. Per-core memory-latency and
+        serialization sums accumulate into ``mem_lat``/``serial``;
+        atomic events get the core-executed split
+        (``atomic_serialization`` of the latency serializes, plus the
+        fixed stall). ``record`` (a :class:`CacheRecord` with one row
+        per cache-routed event) additionally captures per-event
+        outcomes for traffic attribution; both paths fill it at the
+        counter-increment sites. The kernel reads the batch's columns in
+        place; only the scalar oracle gathers the cache-routed events.
         """
-        if len(cores) == 0:
-            return
-        if self.fast_path_ok and self._replay_compiled(
-            cores, addrs, lines, writes, atomics, mem_lat, serial, record
-        ):
-            return
+        if self.fast_path_ok:
+            events = self._replay_compiled(batch, mem_lat, serial, record)
+            if events is not None:
+                return events
+        lo, hi = batch.start, batch.end
+        self._add_core_accesses(np.bincount(
+            batch.core[lo:hi], minlength=self.ncores
+        ).tolist())
+        idx = batch.positions()
+        flags = batch.flags[idx]
         self._replay_generic(
-            np.asarray(cores, dtype=np.int64).tolist(),
-            np.asarray(addrs, dtype=np.int64).tolist(),
-            np.asarray(writes).tolist(),
-            np.asarray(atomics).tolist(),
+            batch.core[idx].tolist(),
+            batch.addr[idx].tolist(),
+            ((flags & FLAG_WRITE) != 0).tolist(),
+            ((flags & FLAG_ATOMIC) != 0).tolist(),
             mem_lat, serial, record,
         )
+        return len(idx)
+
+    def _add_core_accesses(self, counts: List[int]) -> None:
+        accesses = self.stats.core_accesses
+        for c, count in enumerate(counts):
+            accesses[c] += count
 
     def _replay_generic(self, cores, addrs, writes, atomics,
                         mem_lat, serial, record=None) -> None:
@@ -343,33 +393,40 @@ class CacheSystem:
             self.fast_path_ok = False  # no kernel: the oracle from here on
         return lib
 
-    def _replay_compiled(self, cores, addrs, lines, writes, atomics,
-                         mem_lat, serial, record=None) -> bool:
+    def _replay_compiled(self, batch: CacheBatch, mem_lat, serial,
+                         record=None) -> Optional[int]:
         """One kernel pass over the whole batch, then the counter fold.
 
-        Returns ``False``, having replayed nothing, when the kernel is
-        unavailable (the flat state is built at the first batch, so
-        constructing a system never compiles or loads anything). The
-        kernel folds each event's latency into ``mem_lat`` /
-        ``serial`` in event order — the same float operations, in the
-        same order, as :meth:`_replay_generic` — and returns its counter
-        deltas, which land here on the same model objects (stats,
-        caches, directory, crossbar, DRAM) the oracle updates.
+        Returns the number of cache-routed events replayed, or ``None``,
+        having replayed nothing, when the kernel is unavailable (the
+        flat state is built at the first batch, so constructing a system
+        never compiles or loads anything). The kernel folds each event's
+        latency into ``mem_lat`` / ``serial`` in event order — the same
+        float operations, in the same order, as :meth:`_replay_generic`
+        — and returns its counter deltas, which land here on the same
+        model objects (stats, caches, directory, crossbar, DRAM) the
+        oracle updates.
         """
         if self._flat is None:
             lib = self.kernel_lib()
             if lib is None:
-                return False
+                return None
             self._flat = FlatCacheState(lib, self.config, self.crossbar,
                                         self.prefetcher.num_heads)
         dram = self.dram
         ranges = (dram._random_ranges
                   if self.config.dram.page_policy == "hybrid" else ())
-        k = self._flat.replay(cores, addrs, lines, writes, atomics, mem_lat,
-                              serial, dram._open_rows, ranges, record)
+        k = self._flat.replay(
+            batch.core, batch.addr, batch.flags, batch.routes, batch.start,
+            batch.end, mem_lat, serial, dram._open_rows, ranges, record,
+        )
+        self._add_core_accesses(k["events"])
+        events = k["cache_events"]
+        if not events:
+            return 0
         kt = self.kernel_telemetry
         kt.batches += 1
-        kt.events += len(cores)
+        kt.events += events
 
         stats, xbar = self.stats, self.crossbar
         header = xbar.config.header_bytes
@@ -406,7 +463,7 @@ class CacheSystem:
         dram.write_bytes += writebacks * line_bytes
         dram.row_hits += k["row_hits"]
         dram.row_misses += k["row_misses"]
-        return True
+        return events
 
     # ------------------------------------------------------------------
     # State export

@@ -1,18 +1,21 @@
 /*
  * Compiled cache path of repro.memsim.cachestate.CacheSystem.
  *
- * replay_batch() replays cache-routed events over flat state the
- * Python side owns (repro.memsim.ckernel.FlatCacheState; the layout
- * is described in docs/architecture.md). Per event it applies the
- * scalar oracle's (CacheSystem.access) latency additions, counter
- * increments, CacheRecord writes and per-core latency sums, in the
- * oracle's order. Built with -ffp-contract=off and without
- * -ffast-math, so the float sums are the oracle's, bit for bit.
+ * replay_batch() replays the cache-routed events of a range of full
+ * trace columns over flat state the Python side owns
+ * (repro.memsim.ckernel.FlatCacheState; the layout is described in
+ * docs/architecture.md). Per event it applies the scalar oracle's
+ * (CacheSystem.access) latency additions, counter increments,
+ * CacheRecord writes and per-core latency sums, in the oracle's order.
+ * Built with -ffp-contract=off and without -ffast-math, so the float
+ * sums are the oracle's, bit for bit.
  *
  * Beside it: estimate_batch(), the reuse-gap model of
  * repro.memsim.estimate in one pass, srcbuf_walk(), OMEGA's per-core
- * source vertex buffers (repro.memsim.srcbuffer), and lockstep_perm(),
- * the trace builder's lockstep interleave (repro.ligra.trace). No global
+ * source vertex buffers (repro.memsim.srcbuffer), dynpad_train(), the
+ * dynamic backend's frequency-weighted pads
+ * (repro.memsim.backends.dynamic), and lockstep_perm(), the trace
+ * builder's lockstep interleave (repro.ligra.trace). No global
  * mutable state: calls on distinct states may run concurrently
  * (ctypes releases the GIL around each call).
  */
@@ -31,11 +34,13 @@ enum {
     K_ROW_HITS,
     K_ROW_MISSES,
     K_ATOMICS,      /* core-executed atomics */
+    K_CACHE_EVENTS, /* cache-routed events replayed (the record row) */
     K_SCALARS
 };
 enum {
     P_L1_HITS, P_L1_MISSES, P_L1_EVICT, P_L1_DIRTY_EVICT,
-    P_L2_HITS, P_L2_MISSES, P_L2_EVICT, P_L2_DIRTY_EVICT
+    P_L2_HITS, P_L2_MISSES, P_L2_EVICT, P_L2_DIRTY_EVICT,
+    P_EVENTS        /* every event of the range, whatever its route */
 };
 #define PER_CORE(s, block, c) \
     ((s)->counters[K_SCALARS + (block) * (s)->ncores + (c)])
@@ -46,6 +51,7 @@ typedef struct {
     int64_t l1_lat, l2_lat, remote_lat, wb_lat, dram_lat;
     int64_t track_rows, channels, row_bytes, row_hit, row_miss;
     int64_t num_heads, nranges;
+    int64_t cache_route, write_flag, atomic_flag;
     int64_t clock, dir_cap, dir_count;
     double atomic_ser, atomic_stall;
     int64_t *l1_tag, *l1_stamp, *l2_tag, *l2_stamp;  /* [sets][ways] */
@@ -268,28 +274,36 @@ static inline int prefetch_observe(kstate *s, int64_t core, int64_t line)
 }
 
 /*
- * Replay events [start, n); returns the first event not replayed: n,
- * or earlier once the directory is half full (the caller grows it and
- * resumes). Record columns are all NULL or all set.
+ * Replay events [start, end) of full trace columns: every event counts
+ * once per core, and those routed to s->cache_route run through the
+ * caches, the line id taken from the address and write/atomic from the
+ * flags. Returns the first event not replayed: end, or earlier once the
+ * directory is half full (the caller grows it and resumes). Record
+ * columns are all NULL or all set, one row per cache-routed event.
  */
-int64_t replay_batch(kstate *s, int64_t start, int64_t n,
-                     const int64_t *cores, const int64_t *addrs,
-                     const int64_t *lines, const uint8_t *writes,
-                     const uint8_t *atomics, double *mem_lat,
-                     double *serial, uint8_t *r_l1, uint8_t *r_l2h,
-                     uint8_t *r_l2m, uint8_t *r_pref, int64_t *r_wb)
+int64_t replay_batch(kstate *s, int64_t start, int64_t end,
+                     const int16_t *cores, const int64_t *addrs,
+                     const int8_t *flags, const int8_t *routes,
+                     double *mem_lat, double *serial, uint8_t *r_l1,
+                     uint8_t *r_l2h, uint8_t *r_l2m, uint8_t *r_pref,
+                     int64_t *r_wb)
 {
     int64_t *cnt = s->counters;
     int64_t i;
-    for (i = start; i < n && 2 * (s->dir_count + 1) <= s->dir_cap; i++) {
-        int64_t core = cores[i], line = lines[i];
+    for (i = start; i < end && 2 * (s->dir_count + 1) <= s->dir_cap; i++) {
+        int64_t core = cores[i];
+        PER_CORE(s, P_EVENTS, core)++;
+        if (routes[i] != s->cache_route)
+            continue;
+        int64_t row = cnt[K_CACHE_EVENTS]++;
+        int64_t line = addrs[i] >> s->line_bits;
         int64_t bank = line & s->bank_mask;  /* home L2 bank */
-        int write = writes[i] != 0;
+        int write = (flags[i] & s->write_flag) != 0;
         int64_t base = (core * s->l1_sets + floor_mod(line, s->l1_sets))
                        * s->l1_ways;
         int64_t *tag = s->l1_tag + base, *stamp = s->l1_stamp + base;
         uint8_t *dirty = s->l1_dirty + base;
-        int64_t *wb_record = r_wb ? r_wb + i : 0;
+        int64_t *wb_record = r_wb ? r_wb + row : 0;
         int64_t fill, victim = -1, victim2;
         double latency = (double)s->l1_lat;
 
@@ -306,7 +320,7 @@ int64_t replay_batch(kstate *s, int64_t start, int64_t n,
 
         PER_CORE(s, P_L1_MISSES, core)++;
         if (r_l1)
-            r_l1[i] = 0;
+            r_l1[row] = 0;
         if (tag[fill] != -1) {
             PER_CORE(s, P_L1_EVICT, core)++;
             if (dirty[fill]) {
@@ -336,11 +350,11 @@ int64_t replay_batch(kstate *s, int64_t start, int64_t n,
         if (l2_access(s, bank, line >> s->bank_bits, write, &victim2)) {
             cnt[K_L2_HITS]++;
             if (r_l2h)
-                r_l2h[i] = 1;
+                r_l2h[row] = 1;
         } else {
             cnt[K_L2_MISSES]++;
             if (r_l2m)
-                r_l2m[i] = 1;
+                r_l2m[row] = 1;
             if (s->track_rows && !in_random_range(s, addrs[i]))
                 latency += (double)(row_access(s, addrs[i]) ? s->row_hit
                                                             : s->row_miss);
@@ -352,11 +366,11 @@ int64_t replay_batch(kstate *s, int64_t start, int64_t n,
         if (prefetch_observe(s, core, line)) {
             cnt[K_PREFETCH]++;
             if (r_pref)
-                r_pref[i] = 1;
+                r_pref[row] = 1;
             latency = (double)(s->l1_lat + 1);
         }
     fold:
-        if (atomics[i]) {
+        if (flags[i] & s->atomic_flag) {
             cnt[K_ATOMICS]++;
             serial[core] += latency * s->atomic_ser + s->atomic_stall;
             mem_lat[core] += latency * (1.0 - s->atomic_ser);
@@ -403,15 +417,16 @@ static inline int gap_access(int64_t *win, int64_t *pos, int64_t ways,
 
 /*
  * Reuse-gap prediction over the events whose route is `cache_route`,
- * in trace order: L1 slots per (core, L1 set); predicted L1 misses go
+ * in trace order, the line of an event being addrs[i] >> line_bits: L1 slots per (core, L1 set); predicted L1 misses go
  * on to L2 slots per (bank, L2 set). win1/win2 hold each slot's ring
  * of `ways` lines (filled with -1) and pos1/pos2 its position
  * (zeroed); a level with ways <= 0 never hits and needs neither.
  * out[] = l1 hits, l2 hits, writes among the predicted L2 misses.
  */
 void estimate_batch(int64_t n, const int8_t *routes, int64_t cache_route,
-                    const int64_t *cores, const int64_t *lines,
-                    const uint8_t *writes, int64_t bank_bits,
+                    const int64_t *cores, const int64_t *addrs,
+                    const uint8_t *writes, int64_t line_bits,
+                    int64_t bank_bits,
                     int64_t l1_sets, int64_t l1_ways,
                     int64_t l2_sets, int64_t l2_ways,
                     int64_t *win1, int64_t *pos1,
@@ -422,7 +437,7 @@ void estimate_batch(int64_t n, const int8_t *routes, int64_t cache_route,
     for (int64_t i = 0; i < n; i++) {
         if (routes[i] != cache_route)
             continue;
-        int64_t line = lines[i];
+        int64_t line = addrs[i] >> line_bits;
         int64_t s1 = cores[i] * l1_sets + floor_mod(line, l1_sets);
         if (l1_ways > 0
             && gap_access(win1 + s1 * l1_ways, pos1 + s1, l1_ways, line)) {
@@ -490,6 +505,66 @@ int64_t srcbuf_walk(sbstate *s, int64_t n, const int64_t *pos,
     if (bi < nb)
         memset(s->fill, 0, fill_bytes);
     return nh;
+}
+
+/* ---------------------------------------------------------------- */
+/* Dynamic pads (repro.memsim.backends.dynamic.DynamicPads)          */
+/* ---------------------------------------------------------------- */
+
+/* Frequency-weighted vertex sets: set k's live entries are
+   vert/count[k * slots ..] up to fill[k], in insertion order; freq[v]
+   is vertex v's running access count, for v < nfreq. */
+typedef struct {
+    int64_t num_sets, slots, nfreq;
+    int64_t *vert, *count, *fill, *freq;
+} dpstate;
+
+/*
+ * Train on events [start, n): each vtxProp event (vtxprop[i] set) of a
+ * vertex v >= 0 bumps freq[v] and offers v to set v % num_sets. A
+ * resident v takes the new count in place; else v is appended while
+ * the set has room; else the first entry (in insertion order) with the
+ * least count is the victim, and v replaces it, appended last, only if
+ * the victim's count is below v's. resident[i] is set when v is in its
+ * set after the event (the caller zeroes it). Returns the first event
+ * not trained: n, or earlier at a vertex >= nfreq (the caller grows
+ * freq and resumes).
+ */
+int64_t dynpad_train(dpstate *s, int64_t start, int64_t n,
+                     const uint8_t *vtxprop, const int64_t *vertex,
+                     uint8_t *resident)
+{
+    int64_t slots = s->slots, i;
+    for (i = start; i < n; i++) {
+        int64_t v = vertex[i];
+        if (!vtxprop[i] || v < 0)
+            continue;
+        if (v >= s->nfreq)
+            break;
+        int64_t count = ++s->freq[v], set = v % s->num_sets;
+        int64_t *vs = s->vert + set * slots, *cs = s->count + set * slots;
+        int64_t f = s->fill[set], w;
+        for (w = 0; w < f && vs[w] != v; w++)
+            ;
+        if (w == f && f == slots) {
+            int64_t m = 0;
+            for (w = 1; w < f; w++)
+                if (cs[w] < cs[m])
+                    m = w;
+            if (cs[m] >= count)
+                continue;
+            size_t tail = (size_t)(f - 1 - m) * sizeof(int64_t);
+            memmove(vs + m, vs + m + 1, tail);
+            memmove(cs + m, cs + m + 1, tail);
+            w = f - 1;
+        } else if (w == f) {
+            s->fill[set] = f + 1;
+        }
+        vs[w] = v;
+        cs[w] = count;
+        resident[i] = 1;
+    }
+    return i;
 }
 
 /* ---------------------------------------------------------------- */

@@ -1,10 +1,11 @@
 """The compiled cache kernel: build cache, loader and flat state.
 
-``ckernel.c`` (beside this module) replays a batch of cache-routed
-events over flat cache state in one C call (:class:`FlatCacheState`).
-The same library carries the estimator's reuse-gap pass
-(:func:`estimate_batch`), OMEGA's source-buffer walk
-(:class:`FlatSourceBuffers`) and the trace's lockstep interleave
+``ckernel.c`` (beside this module) replays the cache-routed events of
+a range of full trace columns over flat cache state in one C call
+(:class:`FlatCacheState`). The same library carries the estimator's
+reuse-gap pass (:func:`estimate_batch`), OMEGA's source-buffer walk
+(:class:`FlatSourceBuffers`), the dynamic backend's frequency trainer
+(:class:`FlatDynamicPads`) and the trace's lockstep interleave
 (:func:`lockstep_perm`). The host C compiler builds
 it with :data:`CFLAGS` at first use (a kernel replay or a trace
 interleave) — never at import — and the library is cached as ``ckernel-<digest>.so``, the digest
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro.config import MAX_CORES, SimConfig
 from repro.errors import SimulationError, TraceError
-from repro.ligra.trace import check_core_ids
+from repro.ligra.trace import FLAG_ATOMIC, FLAG_WRITE, check_core_ids
 from repro.memsim.geometry import BankGeometry
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.routes import ROUTE_CACHE
@@ -41,6 +42,7 @@ from repro.memsim.routes import ROUTE_CACHE
 __all__ = [
     "CFLAGS",
     "FlatCacheState",
+    "FlatDynamicPads",
     "FlatSourceBuffers",
     "estimate_batch",
     "find_compiler",
@@ -62,11 +64,20 @@ CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 COUNTERS = (
     "demand_l2_hits", "demand_l2_misses", "prefetch", "line_packets",
     "invalidations", "dir_writebacks", "dram_writes", "row_hits",
-    "row_misses", "atomics",
+    "row_misses", "atomics", "cache_events",
 )
 PER_CORE = (
     "l1_hits", "l1_misses", "l1_evictions", "l1_dirty_evictions",
     "l2_hits", "l2_misses", "l2_evictions", "l2_dirty_evictions",
+    "events",
+)
+
+#: The columns :meth:`FlatCacheState.replay` reads in place, with the
+#: dtypes the kernel reads them as (the trace's canonical ones, and
+#: the backends' int8 route codes).
+REPLAY_COLUMNS = (
+    ("core", np.int16), ("addr", np.int64), ("flags", np.int8),
+    ("routes", np.int8),
 )
 
 _I64 = ctypes.c_int64
@@ -81,7 +92,8 @@ class _KState(ctypes.Structure):
         "line_bits", "bank_mask", "bank_bits",
         "l1_lat", "l2_lat", "remote_lat", "wb_lat", "dram_lat",
         "track_rows", "channels", "row_bytes", "row_hit", "row_miss",
-        "num_heads", "nranges", "clock", "dir_cap", "dir_count",
+        "num_heads", "nranges", "cache_route", "write_flag", "atomic_flag",
+        "clock", "dir_cap", "dir_count",
     )] + [("atomic_ser", ctypes.c_double), ("atomic_stall", ctypes.c_double),
           ] + [(name, _PTR) for name in (
         "l1_tag", "l1_stamp", "l2_tag", "l2_stamp", "l1_dirty", "l2_dirty",
@@ -95,6 +107,14 @@ class _SbState(ctypes.Structure):
 
     _fields_ = [(name, _I64) for name in ("ncores", "entries")] + [
         (name, _PTR) for name in ("keys", "fill")
+    ]
+
+
+class _DpState(ctypes.Structure):
+    """Mirror of ``dpstate`` in ``ckernel.c`` (field order matters)."""
+
+    _fields_ = [(name, _I64) for name in ("num_sets", "slots", "nfreq")] + [
+        (name, _PTR) for name in ("vert", "count", "fill", "freq")
     ]
 
 
@@ -159,7 +179,7 @@ def load_kernel() -> Optional[ctypes.CDLL]:
         else:
             lib.replay_batch.restype = _I64
             lib.replay_batch.argtypes = (
-                [ctypes.POINTER(_KState), _I64, _I64] + [_PTR] * 12
+                [ctypes.POINTER(_KState), _I64, _I64] + [_PTR] * 11
             )
             lib.dir_rehash.restype = None
             lib.dir_rehash.argtypes = (
@@ -167,13 +187,17 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             )
             lib.estimate_batch.restype = None
             lib.estimate_batch.argtypes = (
-                [_I64, _PTR, _I64, _PTR, _PTR, _PTR] + [_I64] * 5
+                [_I64, _PTR, _I64, _PTR, _PTR, _PTR] + [_I64] * 6
                 + [_PTR] * 5
             )
             lib.srcbuf_walk.restype = _I64
             lib.srcbuf_walk.argtypes = (
                 [ctypes.POINTER(_SbState), _I64] + [_PTR] * 3
                 + [_I64, _PTR, _PTR]
+            )
+            lib.dynpad_train.restype = _I64
+            lib.dynpad_train.argtypes = (
+                [ctypes.POINTER(_DpState), _I64, _I64] + [_PTR] * 3
             )
             lib.lockstep_perm.restype = _I64
             lib.lockstep_perm.argtypes = [_PTR, _I64] + [_PTR] * 3
@@ -191,10 +215,10 @@ def _ptr(a: np.ndarray) -> int:
 
 def _check_events(what: str, ncores: int, cores: np.ndarray,
                   ids: np.ndarray, *others: np.ndarray,
-                  id_name: str = "line id") -> None:
+                  id_name: str = "address") -> None:
     """Reject what the C side cannot take: columns of unequal length,
     core ids outside ``0..ncores-1`` (it indexes per-core state with
-    them) and negative line ids or keys (-1 marks an empty way or ring
+    them) and negative addresses or keys (-1 marks an empty way or ring
     slot, and no address is negative)."""
     n = len(cores)
     if any(len(a) != n for a in (ids, *others)):
@@ -208,23 +232,24 @@ def _check_events(what: str, ncores: int, cores: np.ndarray,
 
 
 def estimate_batch(lib: ctypes.CDLL, routes: np.ndarray, cores: np.ndarray,
-                   lines: np.ndarray, writes: np.ndarray,
+                   addrs: np.ndarray, writes: np.ndarray,
                    geometry: BankGeometry, l1: Tuple[int, int],
                    l2: Tuple[int, int]) -> Tuple[int, int, int]:
     """The reuse-gap model's counts in one C pass over full columns.
 
-    Events not routed to the cache are skipped in C. ``l1`` and ``l2``
-    are ``(sets, ways)``; ``geometry`` gives the core/bank count and the
-    bank interleave. Returns ``(l1_hits, l2_hits, l2_miss_writes)``,
-    equal to :func:`repro.memsim.estimate.predict_reuse_gaps` on the
-    same input.
+    Events not routed to the cache are skipped in C, and line ids are
+    derived there from the addresses. ``l1`` and ``l2`` are ``(sets,
+    ways)``; ``geometry`` gives the core/bank count, the line size and
+    the bank interleave. Returns ``(l1_hits, l2_hits,
+    l2_miss_writes)``, equal to
+    :func:`repro.memsim.estimate.predict_reuse_gaps` on the same input.
     """
     routes = np.ascontiguousarray(routes, dtype=np.int8)
-    cores, lines = (np.ascontiguousarray(a, dtype=np.int64)
-                    for a in (cores, lines))
+    cores, addrs = (np.ascontiguousarray(a, dtype=np.int64)
+                    for a in (cores, addrs))
     writes = np.ascontiguousarray(writes, dtype=bool)
     ncores = geometry.num_banks
-    _check_events("estimate batch", ncores, cores, lines, routes, writes)
+    _check_events("estimate batch", ncores, cores, addrs, routes, writes)
     if min(l1[0], l2[0]) < 1:
         raise SimulationError("reuse-gap levels need at least one set")
     # Per level, each slot's ring of its last `ways` lines, and the
@@ -237,8 +262,8 @@ def estimate_batch(lib: ctypes.CDLL, routes: np.ndarray, cores: np.ndarray,
     out = np.zeros(3, np.int64)
     lib.estimate_batch(
         len(routes), _ptr(routes), int(ROUTE_CACHE), _ptr(cores),
-        _ptr(lines), _ptr(writes), geometry.bank_bits, l1[0], l1[1],
-        l2[0], l2[1], *(_ptr(a) for a in rings), _ptr(out),
+        _ptr(addrs), _ptr(writes), geometry.line_bits, geometry.bank_bits,
+        l1[0], l1[1], l2[0], l2[1], *(_ptr(a) for a in rings), _ptr(out),
     )
     l1_hits, l2_hits, l2_miss_writes = out.tolist()
     return l1_hits, l2_hits, l2_miss_writes
@@ -321,6 +346,90 @@ class FlatSourceBuffers:
                 for keys, fill in zip(self.keys, self.fill.tolist())]
 
 
+class FlatDynamicPads:
+    """Kernel-mode dynamic pads: per-set slots plus dense vertex counts.
+
+    The compiled twin of
+    :class:`~repro.memsim.backends.dynamic.DynamicPads`. Set ``k``'s
+    entries are ``vert[k, :fill[k]]`` with their counts in ``count``, in
+    insertion order; ``freq[v]`` is vertex ``v``'s running access count.
+    ``freq`` grows between kernel calls, as the cache directory does. It
+    lives on the replay context, so a streamed replay carries it across
+    segments.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, num_sets: int, slots: int) -> None:
+        if num_sets < 1 or slots < 1:
+            raise SimulationError(
+                f"dynamic pads need >= 1 set and slot, got {num_sets}"
+                f" sets of {slots}"
+            )
+        self._lib = lib
+        self.vert = np.zeros((num_sets, slots), np.int64)
+        self.count = np.zeros_like(self.vert)
+        self.fill = np.zeros(num_sets, np.int64)
+        self.st = _DpState(num_sets=num_sets, slots=slots,
+                           vert=_ptr(self.vert), count=_ptr(self.count),
+                           fill=_ptr(self.fill))
+        self._set_freq(np.zeros(0, np.int64))
+
+    def _set_freq(self, freq: np.ndarray) -> None:
+        self.freq = freq
+        self.st.nfreq = len(freq)
+        self.st.freq = _ptr(freq)
+
+    def train(self, vtxprop: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+        """Train on one segment's events; returns the resident mask.
+
+        ``vtxprop`` (bool) marks the vtxProp events and ``vertex``
+        (int64) holds their vertex ids (negative ones are skipped), both
+        full columns read in place. Event ``i`` is resident when its
+        vertex is in its set right after it.
+        """
+        for name, col, dtype in (("vtxprop", vtxprop, np.bool_),
+                                 ("vertex", vertex, np.int64)):
+            _check_column("dynamic pad", name, col, dtype)
+        n = len(vertex)
+        if len(vtxprop) != n:
+            raise SimulationError("dynamic pad columns differ in length")
+        resident = np.zeros(n, dtype=bool)
+        done = 0
+        while True:
+            done = self._lib.dynpad_train(
+                ctypes.byref(self.st), done, n, _ptr(vtxprop), _ptr(vertex),
+                _ptr(resident),
+            )
+            if done == n:
+                return resident
+            # Stopped at a vertex past the count array: grow it.
+            grown = np.zeros(max(2 * len(self.freq), int(vertex[done]) + 1),
+                             np.int64)
+            grown[:len(self.freq)] = self.freq
+            self._set_freq(grown)
+
+    def sets(self) -> List[Dict[int, int]]:
+        """Per set, vertex -> count in insertion order."""
+        return [dict(zip(v[:f], c[:f])) for v, c, f in zip(
+            self.vert.tolist(), self.count.tolist(), self.fill.tolist()
+        )]
+
+    def counts(self) -> Dict[int, int]:
+        """Every trained vertex's running access count."""
+        seen = np.flatnonzero(self.freq)
+        return dict(zip(seen.tolist(), self.freq[seen].tolist()))
+
+
+def _check_column(what: str, name: str, col, dtype) -> None:
+    """Reject a column the C side cannot read in place: it must be a
+    one-dimensional, C-contiguous array of exactly ``dtype``."""
+    if (not isinstance(col, np.ndarray) or col.dtype != dtype
+            or col.ndim != 1 or not col.flags.c_contiguous):
+        raise SimulationError(
+            f"{what} column {name} must be a contiguous 1-d"
+            f" {np.dtype(dtype).name} array"
+        )
+
+
 class FlatCacheState:
     """Kernel-mode cache state: flat arrays plus the ``kstate`` view.
 
@@ -366,7 +475,8 @@ class FlatCacheState:
             track_rows=int(dram.page_policy != "closed"),
             channels=dram.channels, row_bytes=dram.row_bytes,
             row_hit=dram.row_hit_cycles, row_miss=dram.row_miss_cycles,
-            num_heads=num_heads,
+            num_heads=num_heads, cache_route=int(ROUTE_CACHE),
+            write_flag=FLAG_WRITE, atomic_flag=FLAG_ATOMIC,
             atomic_ser=config.core.atomic_serialization,
             atomic_stall=config.core.atomic_stall_cycles,
         )
@@ -394,41 +504,55 @@ class FlatCacheState:
             ctypes.byref(self.ks), *(_ptr(a) for a in old), len(old[0])
         )
 
-    def replay(self, cores: np.ndarray, addrs: np.ndarray,
-               lines: np.ndarray, writes: np.ndarray, atomics: np.ndarray,
+    def replay(self, core: np.ndarray, addr: np.ndarray, flags: np.ndarray,
+               routes: np.ndarray, start: int, end: int,
                mem_lat: List[float], serial: List[float],
                open_rows: List[int], ranges, record=None) -> Dict:
-        """Replay one batch and return its counters by name.
+        """Replay events ``[start, end)`` of full columns; counters by name.
 
-        Scalar counters map to ints, :data:`PER_CORE` ones to per-core
-        lists. Per-event latencies fold into ``mem_lat``/``serial``
-        (per-core sums) and the DRAM ``open_rows`` registers update,
-        both in place; ``ranges`` are the hybrid policy's random ranges
-        (empty for the other policies). The kernel stops early when the
-        directory table is half full; it is grown here, between calls,
-        and the batch resumes where it stopped.
+        The columns (:data:`REPLAY_COLUMNS`) are read in place, nothing
+        is copied: every event of the range counts once per core
+        (``events``), and the cache-routed ones run through the caches
+        (``cache_events``). Scalar counters map to ints,
+        :data:`PER_CORE` ones to per-core lists. Per-event latencies
+        fold into ``mem_lat``/``serial`` (per-core sums) and the DRAM
+        ``open_rows`` registers update, both in place; ``ranges`` are
+        the hybrid policy's random ranges (empty for the other
+        policies). ``record`` (a ``CacheRecord``) gets one row per
+        cache-routed event. The kernel stops early when the directory
+        table is half full; it is grown here, between calls, and the
+        batch resumes where it stopped.
         """
-        # Everything below becomes a raw pointer: fix dtypes and
-        # contiguity, and check the lengths and ids the kernel indexes
-        # with, here.
-        cores, addrs, lines = (np.ascontiguousarray(a, dtype=np.int64)
-                               for a in (cores, addrs, lines))
-        writes, atomics = (np.ascontiguousarray(a, dtype=bool)
-                           for a in (writes, atomics))
-        n = len(cores)
+        # Everything below becomes a raw pointer or an index into one:
+        # check dtypes, contiguity, lengths, the range and the ids the
+        # kernel indexes with, here.
+        cols = (core, addr, flags, routes)
+        for (name, dtype), col in zip(REPLAY_COLUMNS, cols):
+            _check_column("cache batch", name, col, dtype)
+        n = len(core)
+        if any(len(col) != n for col in cols):
+            raise SimulationError("cache batch columns differ in length")
+        start, end = int(start), int(end)
+        if not 0 <= start <= end <= n:
+            raise SimulationError(
+                f"cache batch range [{start}, {end}) lies outside"
+                f" the {n}-event columns"
+            )
         ncores = self.ncores
-        # Tag -1 marks an empty way, so line ids must be non-negative.
-        _check_events("cache batch", ncores, cores, lines, addrs, writes,
-                      atomics)
+        # Tag -1 marks an empty way, so addresses must be non-negative.
+        _check_events("cache batch", ncores, core[start:end],
+                      addr[start:end])
         if len(mem_lat) != ncores or len(serial) != ncores:
             raise SimulationError("latency sums must have one slot per core")
         rec: List[Optional[int]] = [None] * 5
         if record is not None:
-            cols = (record.l1_hit, record.l2_hit, record.l2_miss,
-                    record.prefetch, record.writebacks)
-            if any(len(c) != n or not c.flags.c_contiguous for c in cols):
+            rows = int(np.count_nonzero(routes[start:end] == ROUTE_CACHE))
+            rcols = (record.l1_hit, record.l2_hit, record.l2_miss,
+                     record.prefetch, record.writebacks)
+            if any(len(c) != rows or not c.flags.c_contiguous
+                   for c in rcols):
                 raise SimulationError("CacheRecord does not match the batch")
-            rec = [_ptr(c) for c in cols]
+            rec = [_ptr(c) for c in rcols]
         mem = np.asarray(mem_lat, dtype=np.float64)
         ser = np.asarray(serial, dtype=np.float64)
         self.open_rows[:] = open_rows
@@ -437,12 +561,11 @@ class FlatCacheState:
         ks.ranges = _ptr(self.ranges)
         ks.nranges = len(self.ranges) // 2
         self.counters[:] = 0
-        args = [_ptr(a) for a in (cores, addrs, lines, writes, atomics, mem,
-                                  ser)] + rec
-        done = 0
+        args = [_ptr(a) for a in (*cols, mem, ser)] + rec
+        done = start
         while True:
-            done = self._lib.replay_batch(ctypes.byref(ks), done, n, *args)
-            if done == n:
+            done = self._lib.replay_batch(ctypes.byref(ks), done, end, *args)
+            if done == end:
                 break
             self._grow_directory()
         mem_lat[:] = mem.tolist()

@@ -225,7 +225,7 @@ def predict_slot_hits(
 def predict_reuse_gaps(
     routes: np.ndarray,
     cores: np.ndarray,
-    lines: np.ndarray,
+    addrs: np.ndarray,
     writes: np.ndarray,
     geometry: BankGeometry,
     l1: Tuple[int, int],
@@ -234,13 +234,13 @@ def predict_reuse_gaps(
     """The reuse-gap model over the cache-routed events, in numpy.
 
     ``l1`` and ``l2`` are ``(sets, ways)``; ``geometry`` gives the
-    core/bank count and the bank interleave. Returns ``(l1_hits,
-    l2_hits, l2_miss_writes)`` — the counts
+    core/bank count, the line size and the bank interleave. Returns
+    ``(l1_hits, l2_hits, l2_miss_writes)`` — the counts
     :func:`repro.memsim.ckernel.estimate_batch` computes in C.
     """
     cache_idx = np.flatnonzero(routes == ROUTE_CACHE)
     cores = np.asarray(cores, dtype=np.int64)[cache_idx]
-    lines = np.asarray(lines, dtype=np.int64)[cache_idx]
+    lines = geometry.lines_of(np.asarray(addrs)[cache_idx])
     l1_hit = predict_slot_hits(cores * l1[0] + lines % l1[0], lines, l1[1])
     miss = ~l1_hit
     miss_lines = lines[miss]
@@ -281,7 +281,7 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     backend.prepare(ctx)
 
     seg = trace.interleaved()
-    prepass = precompute(seg, config, mapping=backend.prepass_mapping())
+    prepass = precompute(seg, mapping=backend.prepass_mapping())
     routes = backend.route(ctx, seg, prepass)
 
     est = ReplayEstimate(events=int(prepass.num_events))
@@ -305,7 +305,7 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
         (config.l1.num_sets, config.l1.ways),
         (config.l2_per_core.num_sets, config.l2_per_core.ways),
     )
-    args = (routes, seg.core, prepass.lines, prepass.write,
+    args = (routes, seg.core, seg.addr, prepass.write,
             system.geometry, *levels)
     l1_hits, l2_hits, l2_miss_writes = (
         estimate_batch(lib, *args) if lib is not None

@@ -75,7 +75,14 @@ class ScratchpadMapping:
 
     def home_many(self, vertices: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`home`."""
-        return (np.asarray(vertices, dtype=np.int64) // self.chunk_size) % self.num_cores
+        v = np.asarray(vertices, dtype=np.int64)
+        chunk, cores = int(self.chunk_size), int(self.num_cores)
+        if chunk & (chunk - 1) or cores & (cores - 1):
+            return (v // chunk) % cores
+        # Powers of two: an arithmetic shift and a mask are the floor
+        # division and modulo, negative ids included, at a fraction of
+        # the cost.
+        return (v >> (chunk.bit_length() - 1)) & (cores - 1)
 
     def line(self, vertex: int) -> int:
         """Line index of ``vertex`` within its pad (the index unit)."""

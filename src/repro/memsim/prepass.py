@@ -7,13 +7,13 @@ over all events at once — everything a replay needs that does not
 depend on cache or directory state:
 
 - flag decoding (write / atomic / source-read / update masks),
-- cache-line ids (:class:`~repro.memsim.geometry.BankGeometry`),
 - region/access-class lookup (the vectorized twin of
   :meth:`repro.ligra.trace.AddressSpace.classify`),
 - hot-vertex membership and scratchpad-home computation (via
-  :class:`~repro.memsim.mapping.ScratchpadMapping`),
-- word-granularity access sizes (clamped to the 8-byte scratchpad
-  port).
+  :class:`~repro.memsim.mapping.ScratchpadMapping`).
+
+Word-granularity access sizes (clamped to the 8-byte scratchpad port)
+are summed by :func:`word_bytes` over the few events that need them.
 
 Only cache, directory, DRAM-row and buffer state updates remain in
 the per-event loop (:mod:`repro.memsim.cachestate`).
@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.config import SimConfig
 from repro.ligra.trace import (
     AccessClass,
     FLAG_ATOMIC,
@@ -44,12 +43,12 @@ from repro.ligra.trace import (
     Region,
     Trace,
 )
-from repro.memsim.geometry import BankGeometry
 from repro.memsim.mapping import ScratchpadMapping
 
 __all__ = [
     "TracePrepass",
     "precompute",
+    "word_bytes",
     "classify_regions",
     "StreamDetector",
 ]
@@ -92,10 +91,6 @@ class TracePrepass:
     atomic: np.ndarray
     src_read: np.ndarray
     update: np.ndarray
-    #: Cache-line id per event.
-    lines: np.ndarray
-    #: Scratchpad-word access size (bytes, clamped to the 8 B port).
-    nbytes: np.ndarray
     #: vtxProp events (the monitor unit's class check).
     vtxprop: np.ndarray
     #: Scratchpad routing (mapping-dependent).
@@ -106,12 +101,17 @@ class TracePrepass:
     @property
     def num_events(self) -> int:
         """Number of events covered."""
-        return len(self.lines)
+        return len(self.write)
+
+
+def word_bytes(sizes: np.ndarray) -> int:
+    """Scratchpad-word bytes moved by accesses of these sizes, each
+    clamped to the 8-byte scratchpad port."""
+    return int(np.minimum(sizes, SP_WORD_BYTES).sum(dtype=np.int64))
 
 
 def precompute(
     trace: Trace,
-    config: SimConfig,
     mapping: Optional[ScratchpadMapping] = None,
 ) -> TracePrepass:
     """Run the batch classification stage over ``trace``.
@@ -119,13 +119,8 @@ def precompute(
     ``mapping`` enables the hot/home/local columns for scratchpad
     backends; cache-only backends pass ``None`` and get inert columns.
     """
-    geometry = BankGeometry(
-        num_banks=config.core.num_cores,
-        line_bytes=config.l1.line_bytes,
-    )
     flags = trace.flags
-    lines = geometry.lines_of(trace.addr)
-    n = len(lines)
+    n = trace.num_events
     vtxprop = trace.access_class == np.int8(int(AccessClass.VTXPROP))
     if mapping is not None and mapping.hot_capacity > 0:
         hot = vtxprop & mapping.is_hot_many(trace.vertex)
@@ -140,8 +135,6 @@ def precompute(
         atomic=(flags & FLAG_ATOMIC) != 0,
         src_read=(flags & FLAG_SRC_READ) != 0,
         update=(flags & FLAG_UPDATE) != 0,
-        lines=lines,
-        nbytes=np.minimum(trace.size, SP_WORD_BYTES).astype(np.int64),
         vtxprop=vtxprop,
         hot=hot,
         home=home,

@@ -35,14 +35,14 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.ligra.trace import Trace
 from repro.memsim.cache import Cache
-from repro.memsim.cachestate import CacheRecord, CacheSystem
+from repro.memsim.cachestate import CacheBatch, CacheRecord, CacheSystem
 from repro.memsim.ckernel import FlatSourceBuffers
 from repro.memsim.coherence import Directory
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.pisc import PiscEngine
 from repro.memsim.prepass import precompute
-from repro.memsim.routes import ROUTE_CACHE, WindowedRoutes
+from repro.memsim.routes import WindowedRoutes
 from repro.memsim.srcbuffer import SourceVertexBuffer
 from repro.memsim.stats import MemStats
 from repro.obs import get_registry, get_tracer
@@ -200,7 +200,6 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
                 line_bytes=config.l1.line_bytes,
                 pim_bytes_per_op=backend.pim_bytes_per_op,
             )
-        counts = np.zeros(ncores, dtype=np.int64)
         cache_events = 0
         num_segments = 0
         # Wall-clock accumulator for the window in progress (a window
@@ -213,15 +212,10 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
                              start_event=offset, events=seg.num_events):
                 with tracer.span("prepass", cat="replay"):
                     prepass = precompute(
-                        seg, config, mapping=backend.prepass_mapping()
+                        seg, mapping=backend.prepass_mapping()
                     )
                 with tracer.span("route", cat="replay"):
                     routes = backend.route(ctx, seg, prepass)
-                cache_idx = np.flatnonzero(routes == ROUTE_CACHE)
-                cache_events += len(cache_idx)
-                counts += np.bincount(
-                    np.asarray(seg.core, dtype=np.int64), minlength=ncores
-                )
                 classes = None
                 if attribution is not None:
                     # Non-cache families fold once per segment on the
@@ -240,37 +234,23 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
                         classes, routes, prepass.atomic, local
                     )
                 if not window:
-                    with tracer.span("cache_path", cat="replay",
-                                     events=len(cache_idx)):
-                        if len(cache_idx):
-                            record = (
-                                CacheRecord(len(cache_idx))
-                                if attribution is not None else None
-                            )
-                            system.replay_cache_path(
-                                seg.core[cache_idx],
-                                seg.addr[cache_idx],
-                                prepass.lines[cache_idx],
-                                prepass.write[cache_idx],
-                                prepass.atomic[cache_idx],
-                                ledger.mem["cache"],
-                                ledger.serial["cache"],
-                                record=record,
-                            )
-                            if record is not None:
-                                attribution.fold_cache(
-                                    classes[cache_idx],
-                                    prepass.atomic[cache_idx],
-                                    record,
-                                )
+                    with tracer.span("cache_path", cat="replay") as span:
+                        events = _cache_stage(
+                            ctx, CacheBatch(seg.core, seg.addr, seg.flags,
+                                            routes),
+                            prepass, attribution, classes,
+                        )
+                        span.annotate(events=events)
+                    cache_events += events
                     with tracer.span("account", cat="replay"):
                         backend.account(ctx, seg, prepass, routes)
                 else:
-                    win_wall = _run_windowed_segment(
-                        backend, ctx, seg, prepass, routes, cache_idx,
+                    win_wall, events = _run_windowed_segment(
+                        backend, ctx, seg, prepass, routes,
                         sampler, tracer, offset, total, window, win_wall,
                         attribution=attribution, classes=classes,
                     )
+                    cache_events += events
 
         metrics.counter("replay.events").inc(total)
         metrics.counter("replay.cache_events").inc(cache_events)
@@ -289,7 +269,6 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
                 {"batches": kt.batches, "events": kt.events},
             )
         ledger.flush(stats)
-        stats.core_accesses = [int(x) for x in counts]
         backend.finalize(ctx)
         if window:
             replay_span.annotate(windows=sampler.timeline().num_windows)
@@ -317,13 +296,30 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
         )
 
 
+def _cache_stage(ctx, batch: CacheBatch, prepass, attribution=None,
+                 classes: Optional[np.ndarray] = None) -> int:
+    """Replay one batch on the context's cache system, folding its
+    per-event outcomes into ``attribution`` when given; returns the
+    number of cache-routed events."""
+    record = idx = None
+    if attribution is not None:
+        idx = batch.positions()
+        record = CacheRecord(len(idx))
+    events = ctx.system.replay_cache_path(
+        batch, ctx.ledger.mem["cache"], ctx.ledger.serial["cache"],
+        record=record,
+    )
+    if record is not None:
+        attribution.fold_cache(classes[idx], prepass.atomic[idx], record)
+    return events
+
+
 def _run_windowed_segment(
     backend,
     ctx,
     seg: Trace,
     prepass,
     routes: np.ndarray,
-    cache_idx: np.ndarray,
     sampler: ReplaySampler,
     tracer,
     offset: int,
@@ -332,7 +328,7 @@ def _run_windowed_segment(
     win_wall: float,
     attribution=None,
     classes: Optional[np.ndarray] = None,
-) -> float:
+) -> Tuple[float, int]:
     """Windowed cache stage + accounting over one segment.
 
     The window grid is *global* (multiples of ``window`` over the
@@ -342,41 +338,25 @@ def _run_windowed_segment(
     wall-clock, and the sampler only snapshots when the global
     position reaches a boundary (or the end of the stream). Counters
     therefore land in the window they occur in, however the trace is
-    segmented.
+    segmented. Each window's cache stage replays the window's range
+    of the segment's columns. Returns the in-progress window's
+    wall-clock and the segment's cache-routed event count.
     """
     stats = ctx.stats
-    system = ctx.system
     windowed = WindowedRoutes(routes)
     end = offset + seg.num_events
+    cache_events = 0
     lo = offset
     while lo < end:
         hi = min(end, ((lo // window) + 1) * window)
         wall_start = time.perf_counter()
         with tracer.span("window", cat="replay", start_event=lo,
                          end_event=hi):
-            ci_lo, ci_hi = np.searchsorted(
-                cache_idx, (lo - offset, hi - offset)
+            cache_events += _cache_stage(
+                ctx, CacheBatch(seg.core, seg.addr, seg.flags, routes,
+                                lo - offset, hi - offset),
+                prepass, attribution, classes,
             )
-            sub = cache_idx[ci_lo:ci_hi]
-            if len(sub):
-                record = (
-                    CacheRecord(len(sub))
-                    if attribution is not None else None
-                )
-                system.replay_cache_path(
-                    seg.core[sub],
-                    seg.addr[sub],
-                    prepass.lines[sub],
-                    prepass.write[sub],
-                    prepass.atomic[sub],
-                    ctx.ledger.mem["cache"],
-                    ctx.ledger.serial["cache"],
-                    record=record,
-                )
-                if record is not None:
-                    attribution.fold_cache(
-                        classes[sub], prepass.atomic[sub], record,
-                    )
             backend.account(
                 ctx, seg, prepass, windowed.fill(lo - offset, hi - offset)
             )
@@ -389,4 +369,4 @@ def _run_windowed_segment(
             )
             win_wall = 0.0
         lo = hi
-    return win_wall
+    return win_wall, cache_events

@@ -96,21 +96,15 @@ def make_system_runner(
     it with a fresh progress-streaming tracer, so concurrent jobs share
     the trace store but nothing else.
     """
-    from repro.algorithms.registry import ALGORITHMS
+    from repro.algorithms.registry import load_workload
     from repro.core.system import run_system
-    from repro.graph.datasets import load_dataset
 
     def runner(
         spec: JobSpec, progress: Callable[[str], None]
     ) -> Dict[str, Any]:
         request = spec.request()
-        info = ALGORITHMS[spec.algorithm]
         progress("load_dataset")
-        graph, _ = load_dataset(
-            spec.dataset, scale=spec.scale, weighted=info.requires_weights
-        )
-        if info.requires_undirected and graph.directed:
-            graph = graph.as_undirected()
+        graph, _ = load_workload(spec.dataset, spec.algorithm, spec.scale)
         context = replace(base_context, tracer=_ProgressTracer(progress))
         report = run_system(graph, request=request, context=context)
         return report.manifest()

@@ -141,12 +141,14 @@ def test_builtin_raise_in_library_code_trips_exc001(scratch_src):
 
 
 def test_narrowing_the_replay_accumulator_trips_npy001(scratch_src):
-    replay = scratch_src / "src/repro/memsim/replay.py"
-    text = replay.read_text()
-    needle = "        counts = np.zeros(ncores, dtype=np.int64)\n"
+    # The cache stage's per-class write-back fold (the per-core event
+    # counts it once folded in numpy are now kernel counters).
+    attribution = scratch_src / "src/repro/obs/attribution.py"
+    text = attribution.read_text()
+    needle = "        wb = np.zeros(NUM_CLASSES, dtype=np.int64)\n"
     assert needle in text
-    replay.write_text(text.replace(
-        needle, "        counts = np.zeros(ncores, dtype=np.int32)\n"
+    attribution.write_text(text.replace(
+        needle, "        wb = np.zeros(NUM_CLASSES, dtype=np.int32)\n"
     ))
     assert "NPY001" in _rules_fired(scratch_src)
 

@@ -182,6 +182,45 @@ class TestBoundaryValidation:
         ctx = RunContext(segment_events=np.int64(64), ledger_path=tmp_path)
         assert ctx.segment_events == 64
 
+    @pytest.mark.parametrize("driver", [
+        "run_system", "estimate_system", "run_sliced", "run_backends",
+    ])
+    def test_num_cores_disagreeing_with_config_names_it(self, graph,
+                                                        driver):
+        from repro.config import SimConfig
+        from repro.core import sliced, system
+
+        request = RunRequest("pagerank", backend="omega", num_cores=4)
+        config = SimConfig.scaled_omega()  # 16 cores
+        calls = {
+            "run_system": lambda: system.run_system(
+                graph, request, config, RunContext()),
+            "estimate_system": lambda: system.estimate_system(
+                graph, request, config, RunContext()),
+            "run_sliced": lambda: sliced.run_sliced(
+                graph, request, config, RunContext()),
+            "run_backends": lambda: system.run_backends(
+                graph, request, ["omega"], {"omega": config}, RunContext()),
+        }
+        with pytest.raises(SimulationError, match="num_cores"):
+            calls[driver]()
+
+    def test_num_cores_accepted_forms(self, graph):
+        from repro.config import SimConfig
+        from repro.core.system import estimate_system
+
+        config = SimConfig.scaled_omega(num_cores=4)
+        # Unset: the config's count, or 16 when the driver derives it.
+        assert RunRequest("pagerank").num_cores is None
+        assert RunRequest("pagerank").core_count() == 16
+        assert RunRequest("pagerank").core_count(config) == 4
+        # Set: it sizes a derived config, and may restate a given one.
+        assert RunRequest("pagerank", num_cores=8).core_count() == 8
+        agreeing = RunRequest("pagerank", num_cores=np.int64(4))
+        assert agreeing.core_count(config) == 4
+        est = estimate_system(graph, agreeing, config, RunContext())
+        assert est.events > 0
+
     @pytest.mark.parametrize("field,value", [
         ("store", "/tmp/x"),
         ("segment_events", "x"),

@@ -151,7 +151,9 @@ REUSE_EVENTS = st.lists(
               st.booleans()),
     max_size=300,
 )
-LINE_BASES = st.sampled_from([0, 1 << 40, (1 << 62) - 17])
+# The largest base keeps the highest address, ((1 << 57) - 24) * 64 + 63,
+# below 2**63.
+LINE_BASES = st.sampled_from([0, 1 << 40, (1 << 57) - 64])
 LEVEL = st.tuples(st.sampled_from([1, 2, 4, 16]), st.integers(-1, 6))
 
 
@@ -161,14 +163,14 @@ class TestCompiledReuseGapParity:
     @given(REUSE_EVENTS, LINE_BASES, st.sampled_from([1, 2, 4, 64]),
            LEVEL, LEVEL)
     @example([], 0, 4, (2, 4), (4, 8))
-    @example([(3, 5, True, True)], (1 << 62) - 17, 64, (1, 1), (1, 1))
+    @example([(3, 5, True, True)], (1 << 57) - 64, 64, (1, 1), (1, 1))
     @example([(1, 2, True, False)] * 6, 1 << 40, 4, (2, 0), (2, -1))
     @example([(c, c % 3, True, c % 2 == 0) for c in range(64)] * 3,
-             (1 << 62) - 17, 64, (4, 2), (2, 3))
+             (1 << 57) - 64, 64, (4, 2), (2, 3))
     @settings(max_examples=200, deadline=None)
     def test_matches_numpy(self, events, base, ncores, l1, l2):
         """Includes ways <= 0, n <= 1, 64 cores and line ids >= 2**40
-        and near 2**62."""
+        and near 2**57 (addresses near 2**63)."""
         lib = load_kernel()
         assert lib is not None
         routes = np.array(
@@ -177,8 +179,11 @@ class TestCompiledReuseGapParity:
         )
         cores = np.array([e[0] % ncores for e in events], dtype=np.int64)
         lines = base + np.array([e[1] for e in events], dtype=np.int64)
+        # Any byte of the line: the line id is the address >> 6.
+        addrs = lines * 64 + np.array([e[1] * 7 % 64 for e in events],
+                                      dtype=np.int64)
         writes = np.array([e[3] for e in events], dtype=bool)
-        args = (routes, cores, lines, writes,
+        args = (routes, cores, addrs, writes,
                 BankGeometry(num_banks=ncores, line_bytes=64), l1, l2)
         assert estimate_batch(lib, *args) == predict_reuse_gaps(*args)
 

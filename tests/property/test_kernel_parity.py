@@ -35,9 +35,10 @@ from repro.ligra.trace import (
     AccessClass,
     Trace,
 )
+from repro.memsim.backends.dynamic import DynamicPads
 from repro.memsim.backends.omega import srcbuf_stage
 from repro.memsim.cachestate import CacheSystem
-from repro.memsim.ckernel import FlatSourceBuffers, load_kernel
+from repro.memsim.ckernel import FlatDynamicPads, FlatSourceBuffers, load_kernel
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.stats import MemStats
@@ -404,34 +405,58 @@ class TestOracleFallback:
     def test_missing_compiler_estimator_and_srcbuf_fallback(
         self, monkeypatch, sssp_workload
     ):
-        """Without a compiler, the estimator and OMEGA's source buffers
-        fall back to numpy and the Python buffers, with the same
-        results and still one warning."""
+        """Without a compiler, the estimator, OMEGA's source buffers and
+        the dynamic backend's trainer fall back to numpy and Python,
+        with the same results and still one warning."""
         from repro.memsim import ckernel
 
-        make, trace = sssp_workload
-        compiled_est = estimate_replay(make(), trace).as_dict()
-        compiled = make().replay(trace)
-        assert isinstance(compiled.srcbufs, FlatSourceBuffers)
+        make_omega, trace = sssp_workload
+        cfg = SimConfig.scaled_omega(num_cores=NCORES)
+        microcode = microcode_for_algorithm("sssp")
+
+        def make_dynamic():
+            return DynamicScratchpadBackend(cfg, 24, microcode)
+
+        # Which trainer ran: the compiled one, or the Python loop.
+        trained = []
+        for cls in (FlatDynamicPads, DynamicPads):
+            def spy(self, *args, _train=cls.train, _name=cls.__name__):
+                trained.append(_name)
+                return _train(self, *args)
+
+            monkeypatch.setattr(cls, "train", spy)
+        makers = {"omega": make_omega, "dynamic": make_dynamic}
+        compiled = {name: (estimate_replay(make(), trace).as_dict(),
+                           make().replay(trace))
+                    for name, make in makers.items()}
+        assert set(trained) == {"FlatDynamicPads"}
+        assert isinstance(compiled["omega"][1].srcbufs, FlatSourceBuffers)
         records = _Records()
         logger = logging.getLogger("repro.memsim.ckernel")
         logger.addHandler(records)
         monkeypatch.setattr(ckernel, "find_compiler", lambda: None)
         ckernel.load_kernel.cache_clear()
+        trained.clear()
         try:
-            fallback_est = estimate_replay(make(), trace).as_dict()
-            fallback = make().replay(trace)
+            fallback = {name: (estimate_replay(make(), trace).as_dict(),
+                               make().replay(trace))
+                        for name, make in makers.items()}
         finally:
             logger.removeHandler(records)
             monkeypatch.undo()
             ckernel.load_kernel.cache_clear()
         assert len(records.messages) == 1
         assert "no C compiler" in records.messages[0]
-        assert fallback.kernel["mode"] == "scalar"
-        assert isinstance(fallback.srcbufs[0], SourceVertexBuffer)
-        assert fallback_est == compiled_est
-        assert snapshot(fallback) == snapshot(compiled)
-        assert compiled.stats.srcbuf_hits > 0
+        assert set(trained) == {"DynamicPads"}
+        assert isinstance(fallback["omega"][1].srcbufs[0], SourceVertexBuffer)
+        for name in makers:
+            fallback_est, fallback_out = fallback[name]
+            compiled_est, compiled_out = compiled[name]
+            assert fallback_out.kernel["mode"] == "scalar"
+            assert fallback_est == compiled_est
+            assert snapshot(fallback_out) == snapshot(compiled_out)
+        assert compiled["omega"][1].stats.srcbuf_hits > 0
+        assert compiled["dynamic"][1].stats.sp_accesses > 0
 
 
 @pytest.fixture(scope="module")

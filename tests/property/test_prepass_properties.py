@@ -22,12 +22,12 @@ from repro.ligra.trace import (
     FLAG_WRITE,
     TraceBuilder,
 )
-from repro.memsim.geometry import BankGeometry
 from repro.memsim.mapping import ScratchpadMapping
 from repro.memsim.prepass import (
     StreamDetector,
     classify_regions,
     precompute,
+    word_bytes,
 )
 
 CLASSES = (AccessClass.VTXPROP, AccessClass.EDGELIST, AccessClass.NGRAPH)
@@ -97,8 +97,7 @@ class TestPrecompute:
         trace = _random_trace(rng, 60, num_cores, space)
         mapping = ScratchpadMapping(num_cores, hot_capacity=128,
                                     chunk_size=32)
-        pre = precompute(trace, config, mapping=mapping)
-        geo = BankGeometry(num_cores, config.l1.line_bytes)
+        pre = precompute(trace, mapping=mapping)
 
         for i in range(trace.num_events):
             flags = int(trace.flags[i])
@@ -106,9 +105,6 @@ class TestPrecompute:
             assert pre.atomic[i] == bool(flags & FLAG_ATOMIC)
             assert pre.src_read[i] == bool(flags & FLAG_SRC_READ)
             assert pre.update[i] == bool(flags & FLAG_UPDATE)
-            line = geo.line_of(int(trace.addr[i]))
-            assert pre.lines[i] == line
-            assert pre.nbytes[i] == min(int(trace.size[i]), 8)
             vertex = int(trace.vertex[i])
             is_vtx = (
                 int(trace.access_class[i]) == int(AccessClass.VTXPROP)
@@ -120,12 +116,28 @@ class TestPrecompute:
                 mapping.home(vertex) == int(trace.core[i])
             )
 
+    @given(st.lists(st.integers(-3, 5000), max_size=50),
+           st.integers(1, 70), st.sampled_from([1, 2, 3, 4, 16, 64]))
+    @settings(max_examples=100, deadline=None)
+    def test_home_many_matches_home(self, vertices, chunk, cores):
+        """Power-of-two chunks and core counts take the shift-and-mask
+        path; both paths equal the scalar floor division, negative ids
+        included."""
+        mapping = ScratchpadMapping(cores, hot_capacity=64, chunk_size=chunk)
+        homes = mapping.home_many(np.asarray(vertices, dtype=np.int64))
+        assert homes.tolist() == [mapping.home(v) for v in vertices]
+
+    def test_word_bytes_clamps_to_the_port(self):
+        sizes = np.array([1, 4, 8, 16, 64], dtype=np.int16)
+        assert word_bytes(sizes) == 1 + 4 + 8 + 8 + 8
+        assert word_bytes(sizes[:0]) == 0
+
     def test_no_mapping_gives_inert_columns(self):
         config = SimConfig.scaled_baseline()
         space = _space([256])
         rng = np.random.default_rng(0)
         trace = _random_trace(rng, 20, config.core.num_cores, space)
-        pre = precompute(trace, config, mapping=None)
+        pre = precompute(trace, mapping=None)
         assert not pre.hot.any()
         assert (pre.home == -1).all()
         assert not pre.local.any()
